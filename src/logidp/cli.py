@@ -19,25 +19,22 @@ import sys
 
 from .experiments import (
     SampledSensitivity,
-    _resolve_sensitivity,
-    _sensitivity_for,
     config_from_json_dict,
+    emit_averaged,
     emit_report,
     load_report,
+    mechanism_spec,
+    resolve_sensitivity,
     run_sweep,
+    sensitivity_for,
+    train_auditor,
+    train_model,
 )
-from .mechanisms import (
-    MechanismKind,
-    MechanismSpec,
-    PrivacyBudget,
-    sample_noise,
-    scale_for_budget,
-)
-from .mia import attack_accuracy, build_attack_dataset, train_attack_classifier
-from .pipeline import encode, finetune_head, pretrain_encoder
+from .mechanisms import MechanismKind, MechanismSpec, sample_noise
+from .mia import attack_accuracy
 from .protection import export_protected_model, protect_existing
 from .rng import RngStream, derive_seed
-from .sensitivity import sample_sensitivity, save_estimate
+from .sensitivity import save_estimate
 
 
 def _load_config(path: str, seed_override: int | None):
@@ -49,24 +46,17 @@ def _load_config(path: str, seed_override: int | None):
     return cfg
 
 
-def _trained_stages(cfg):
-    splits = cfg.dataset.load()
-    theta = pretrain_encoder(splits["pretrain"], cfg.pretrain)
-    omega = finetune_head(theta, splits["finetune"], cfg.finetune)
-    return splits, theta, omega
-
-
-def _resolve_spec(cfg, theta, splits, kind_name: str, epsilon, scale):
-    """Mechanism spec from either an explicit scale or an epsilon budget."""
-    kind = MechanismKind(kind_name)
-    if (epsilon is None) == (scale is None):
+def _budget_point(args):
+    """Config, trained stages, sensitivity and mechanism spec for protect and
+    attack; the budget flags are checked before anything is trained."""
+    if (args.epsilon is None) == (args.scale is None):
         raise ValueError("give exactly one of --epsilon and --scale")
-    record = _resolve_sensitivity(cfg.sensitivity, theta, splits["finetune"], cfg.finetune)
-    sens = _sensitivity_for(kind, record)
-    delta = cfg.delta if kind is MechanismKind.GAUSSIAN else 0.0
-    if scale is not None:
-        return MechanismSpec(kind, scale, delta), sens
-    return scale_for_budget(kind, PrivacyBudget(epsilon, delta), sens), sens
+    cfg = _load_config(args.config, args.seed)
+    splits, theta, omega = train_model(cfg)
+    kind = MechanismKind(args.mechanism)
+    sens = sensitivity_for(kind, resolve_sensitivity(cfg, theta, splits))
+    spec = mechanism_spec(cfg, kind, sens, epsilon=args.epsilon, scale=args.scale)
+    return cfg, splits, theta, omega, sens, spec
 
 
 def _cmd_sample(args) -> None:
@@ -84,18 +74,12 @@ def _cmd_sensitivity(args) -> None:
     cfg = _load_config(args.config, args.seed)
     if not isinstance(cfg.sensitivity, SampledSensitivity):
         raise ValueError("config must use a sampled sensitivity source for this command")
-    splits = cfg.dataset.load()
-    theta = pretrain_encoder(splits["pretrain"], cfg.pretrain)
-    est = sample_sensitivity(
-        theta, splits["finetune"], cfg.finetune, cfg.sensitivity.m, cfg.sensitivity.seed
-    )
-    save_estimate(est, args.out)
+    splits, theta, _ = train_model(cfg)
+    save_estimate(resolve_sensitivity(cfg, theta, splits), args.out)
 
 
 def _cmd_protect(args) -> None:
-    cfg = _load_config(args.config, args.seed)
-    splits, theta, omega = _trained_stages(cfg)
-    spec, sens = _resolve_spec(cfg, theta, splits, args.mechanism, args.epsilon, args.scale)
+    cfg, _, theta, omega, sens, spec = _budget_point(args)
     model = protect_existing(
         theta, omega, spec, derive_seed(cfg.master_seed, "cli-protect")
     )
@@ -103,24 +87,8 @@ def _cmd_protect(args) -> None:
 
 
 def _cmd_attack(args) -> None:
-    cfg = _load_config(args.config, args.seed)
-    splits, theta, omega = _trained_stages(cfg)
-    spec, _ = _resolve_spec(cfg, theta, splits, args.mechanism, args.epsilon, args.scale)
-
-    shadow_cfg = dataclasses.replace(
-        cfg.finetune, seed=derive_seed(cfg.master_seed, "shadow-head")
-    )
-    shadow_omega = finetune_head(theta, splits["shadow_in"], shadow_cfg)
-    records = build_attack_dataset(
-        theta,
-        shadow_omega,
-        splits["shadow_in"],
-        splits["shadow_out"],
-        cfg.attack.train_pairs,
-        derive_seed(cfg.master_seed, "attack-data"),
-    )
-    classifier = train_attack_classifier(records, cfg.attack)
-
+    cfg, splits, theta, omega, _, spec = _budget_point(args)
+    classifier = train_auditor(cfg, theta, splits)
     model = protect_existing(
         theta, omega, spec, derive_seed(cfg.master_seed, "cli-attack-noise")
     )
@@ -155,22 +123,7 @@ def _cmd_sweep(args) -> None:
 def _cmd_report(args) -> None:
     report = load_report(args.input)
     if args.averaged:
-        lines = ["mechanism,epsilon,scale,utility_loss,mia_accuracy,repeats"]
-        for row in report.averaged:
-            lines.append(
-                ",".join(
-                    [
-                        row.mechanism.value,
-                        repr(float(row.epsilon)),
-                        repr(float(row.scale)),
-                        repr(float(row.utility_loss)),
-                        repr(float(row.mia_accuracy)),
-                        str(row.repeats),
-                    ]
-                )
-            )
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        emit_averaged(report, args.out)
     else:
         emit_report(report, args.out, args.format)
 

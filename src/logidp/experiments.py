@@ -28,7 +28,13 @@ from .mechanisms import (
     budget_for_scale,
     scale_for_budget,
 )
-from .mia import AttackClassifierConfig, attack_accuracy, build_attack_dataset, train_attack_classifier
+from .mia import (
+    AttackClassifier,
+    AttackClassifierConfig,
+    attack_accuracy,
+    build_attack_dataset,
+    train_attack_classifier,
+)
 from .pipeline import (
     Dataset,
     TrainConfig,
@@ -48,6 +54,7 @@ from .sensitivity import (
     estimate_to_json_dict,
     sample_sensitivity,
 )
+from .weights import WeightVector
 
 _SPLIT_NAMES = ("pretrain", "finetune", "holdout", "shadow_in", "shadow_out")
 
@@ -260,13 +267,28 @@ def halving_epsilon_grid(delta_l1: float, anchor_scale: float = 0.005, points: i
     return tuple(delta_l1 / (anchor_scale * 2**k) for k in range(points))
 
 
-def _resolve_sensitivity(source, theta, finetune_data, finetune_cfg):
+# --- pipeline stages ---------------------------------------------------------
+# run_sweep and every CLI command build on these, so a given config and
+# master seed train, sample and audit identically on every path.
+
+def train_model(cfg: SweepConfig) -> tuple[dict[str, Dataset], WeightVector, WeightVector]:
+    """Load the splits, pretrain the encoder, fine-tune the head: (splits, theta, omega)."""
+    splits = cfg.dataset.load()
+    theta = pretrain_encoder(splits["pretrain"], cfg.pretrain)
+    omega = finetune_head(theta, splits["finetune"], cfg.finetune)
+    return splits, theta, omega
+
+
+def resolve_sensitivity(cfg: SweepConfig, theta: WeightVector, splits) -> SensitivityEstimate | FixedSensitivity:
+    """The config's fixed sensitivity, or a leave-one-out sample over the finetune split."""
+    source = cfg.sensitivity
     if isinstance(source, FixedSensitivity):
         return source
-    return sample_sensitivity(theta, finetune_data, finetune_cfg, source.m, source.seed)
+    return sample_sensitivity(theta, splits["finetune"], cfg.finetune, source.m, source.seed)
 
 
-def _sensitivity_for(kind: MechanismKind, record) -> Sensitivity:
+def sensitivity_for(kind: MechanismKind, record) -> Sensitivity:
+    """The sensitivity in the norm the mechanism calibrates against."""
     required = _REQUIRED_NORM[kind]
     if isinstance(record, FixedSensitivity):
         if record.norm is not required:
@@ -279,39 +301,13 @@ def _sensitivity_for(kind: MechanismKind, record) -> Sensitivity:
     return Sensitivity(required, value)
 
 
-def _grid_for(cfg: SweepConfig, kind: MechanismKind, sens: Sensitivity):
-    """Per-mechanism (epsilon, spec) pairs, epsilon descending."""
-    points = []
-    if cfg.epsilon_grid is not None:
-        for eps in cfg.epsilon_grid:
-            budget = PrivacyBudget(eps, cfg.delta if kind is MechanismKind.GAUSSIAN else 0.0)
-            points.append((eps, scale_for_budget(kind, budget, sens)))
-    else:
-        for scale in cfg.scale_grid:
-            delta = cfg.delta if kind is MechanismKind.GAUSSIAN else 0.0
-            spec = MechanismSpec(kind, scale, delta)
-            points.append((budget_for_scale(spec, sens).epsilon, spec))
-    points.sort(key=lambda p: -p[0])
-    return points
-
-
-def run_sweep(cfg: SweepConfig) -> SweepReport:
-    """Train once, then measure every (mechanism, epsilon, repeat) cell."""
-    splits = cfg.dataset.load()
-    theta = pretrain_encoder(splits["pretrain"], cfg.pretrain)
-    omega = finetune_head(theta, splits["finetune"], cfg.finetune)
-
-    holdout = splits["holdout"]
-    holdout_reps = encode(theta, holdout.features)
-    clean_acc = accuracy(predict_from_representations(omega, holdout_reps), holdout.labels)
-
-    sens_record = _resolve_sensitivity(cfg.sensitivity, theta, splits["finetune"], cfg.finetune)
-
+def train_auditor(cfg: SweepConfig, theta: WeightVector, splits) -> AttackClassifier:
+    """Shadow head on shadow_in, then the membership classifier on its outputs."""
     shadow_cfg = dataclasses.replace(
         cfg.finetune, seed=derive_seed(cfg.master_seed, "shadow-head")
     )
     shadow_omega = finetune_head(theta, splits["shadow_in"], shadow_cfg)
-    attack_records = build_attack_dataset(
+    records = build_attack_dataset(
         theta,
         shadow_omega,
         splits["shadow_in"],
@@ -319,7 +315,40 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         cfg.attack.train_pairs,
         derive_seed(cfg.master_seed, "attack-data"),
     )
-    classifier = train_attack_classifier(attack_records, cfg.attack)
+    return train_attack_classifier(records, cfg.attack)
+
+
+def mechanism_spec(cfg: SweepConfig, kind: MechanismKind, sens: Sensitivity, *,
+                   epsilon: float | None = None, scale: float | None = None) -> MechanismSpec:
+    """Spec at the given noise scale or, without one, the scale that spends
+    epsilon. Only the gaussian mechanism carries the config's delta."""
+    delta = cfg.delta if kind is MechanismKind.GAUSSIAN else 0.0
+    if scale is not None:
+        return MechanismSpec(kind, scale, delta)
+    return scale_for_budget(kind, PrivacyBudget(epsilon, delta), sens)
+
+
+def _grid_for(cfg: SweepConfig, kind: MechanismKind, sens: Sensitivity):
+    """Per-mechanism (epsilon, spec) pairs, epsilon descending."""
+    if cfg.epsilon_grid is not None:
+        points = [(eps, mechanism_spec(cfg, kind, sens, epsilon=eps)) for eps in cfg.epsilon_grid]
+    else:
+        specs = [mechanism_spec(cfg, kind, sens, scale=scale) for scale in cfg.scale_grid]
+        points = [(budget_for_scale(spec, sens).epsilon, spec) for spec in specs]
+    points.sort(key=lambda p: -p[0])
+    return points
+
+
+def run_sweep(cfg: SweepConfig) -> SweepReport:
+    """Train once, then measure every (mechanism, epsilon, repeat) cell."""
+    splits, theta, omega = train_model(cfg)
+
+    holdout = splits["holdout"]
+    holdout_reps = encode(theta, holdout.features)
+    clean_acc = accuracy(predict_from_representations(omega, holdout_reps), holdout.labels)
+
+    sens_record = resolve_sensitivity(cfg, theta, splits)
+    classifier = train_auditor(cfg, theta, splits)
 
     baseline_model = protect_existing(
         theta, omega, MechanismSpec(MechanismKind.LOGISTIC, 1.0),
@@ -336,7 +365,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     rows = []
     averaged = []
     for kind in cfg.mechanisms:
-        sens = _sensitivity_for(kind, sens_record)
+        sens = sensitivity_for(kind, sens_record)
         for eps_index, (eps, spec) in enumerate(_grid_for(cfg, kind, sens)):
             cell = []
             for repeat in range(cfg.repeats_per_point):
@@ -536,7 +565,17 @@ def report_from_json_dict(obj: dict) -> SweepReport:
     )
 
 
-_CSV_HEADER = "mechanism,epsilon,scale,utility_loss,mia_accuracy,repeat_index"
+_CSV_FLOATS = ("epsilon", "scale", "utility_loss", "mia_accuracy")
+
+
+def _csv_text(count_column: str, rows) -> str:
+    """Header plus one line per row dict: mechanism, the float columns as
+    repr so the text round-trips exactly, then the integer count column."""
+    lines = [",".join(("mechanism", *_CSV_FLOATS, count_column))]
+    for row in rows:
+        floats = (repr(float(row[c])) for c in _CSV_FLOATS)
+        lines.append(",".join((row["mechanism"], *floats, str(row[count_column]))))
+    return "\n".join(lines) + "\n"
 
 
 def _ordered_rows(report: SweepReport):
@@ -550,19 +589,19 @@ def _ordered_rows(report: SweepReport):
 def emit_report(report: SweepReport, path, format: str = "csv") -> None:
     """CSV: header plus one deterministic line per row; JSON: full report."""
     if format == "csv":
-        lines = [_CSV_HEADER]
-        for r in _ordered_rows(report):
-            lines.append(
-                f"{r.mechanism.value},{repr(float(r.epsilon))},{repr(float(r.scale))},"
-                f"{repr(float(r.utility_loss))},{repr(float(r.mia_accuracy))},{r.repeat_index}"
-            )
-        text = "\n".join(lines) + "\n"
+        text = _csv_text("repeat_index", map(_row_to_dict, _ordered_rows(report)))
     elif format == "json":
         text = json.dumps(report_to_json_dict(report), indent=2, sort_keys=True) + "\n"
     else:
         raise ValueError(f"unknown report format {format!r}")
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def emit_averaged(report: SweepReport, path) -> None:
+    """CSV of the repeat-averaged rows, in report order."""
+    with open(path, "w") as fh:
+        fh.write(_csv_text("repeats", map(_averaged_to_dict, report.averaged)))
 
 
 def load_report(path) -> SweepReport:

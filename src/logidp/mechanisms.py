@@ -237,25 +237,3 @@ def multivariate_log_ratio_check(
         best = max(best, sampled)
     return best
 
-
-def spec_to_config(spec: MechanismSpec) -> dict:
-    """JSON-ready form {kind, scale, delta}."""
-    return {"kind": spec.kind.value, "scale": spec.scale, "delta": spec.delta}
-
-
-def spec_from_config(obj: dict, sens: Sensitivity | None = None) -> MechanismSpec:
-    """Build a spec from {kind, scale, delta} or {kind, epsilon, delta}.
-
-    The epsilon form needs a sensitivity record to resolve the scale.
-    """
-    kind = MechanismKind(obj["kind"])
-    delta = float(obj.get("delta", 0.0))
-    has_scale = "scale" in obj
-    has_eps = "epsilon" in obj
-    if has_scale == has_eps:
-        raise ValueError("give exactly one of 'scale' or 'epsilon'")
-    if has_scale:
-        return MechanismSpec(kind, float(obj["scale"]), delta)
-    if sens is None:
-        raise ValueError("resolving an epsilon budget needs a sensitivity record")
-    return scale_for_budget(kind, PrivacyBudget(float(obj["epsilon"]), delta), sens)

@@ -12,12 +12,11 @@ records: the classifier must only ever see shadow outputs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import Dataset, encode, one_hot, predict, predict_from_representations
+from .pipeline import Dataset, encode, one_hot, predict_from_representations
 from .protection import ProtectedModel
 from .rng import RngStream
 from .weights import WeightVector
@@ -47,8 +46,8 @@ class AttackRecord:
         object.__setattr__(self, "label_onehot", lab)
         if out.ndim != 1 or lab.ndim != 1 or out.shape != lab.shape:
             raise ValueError("output_vector and label_onehot must be 1-d and the same length")
-        if abs(out.sum() - 1.0) > 1e-9:
-            raise ValueError(f"output_vector must sum to 1 within 1e-9, got {out.sum()!r}")
+        if not (np.all(np.isfinite(out)) and abs(out.sum() - 1.0) <= 1e-9):
+            raise ValueError(f"output_vector must be finite and sum to 1 within 1e-9, got {out.sum()!r}")
         nonzero = np.flatnonzero(lab)
         if len(nonzero) != 1 or lab[nonzero[0]] != 1.0:
             raise ValueError("label_onehot must have exactly one entry equal to 1")
@@ -154,6 +153,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _attack_inputs(theta: WeightVector, omega: WeightVector, dataset: Dataset, picks) -> np.ndarray:
+    """Rows [output vector | one-hot label] of the model on dataset[picks]."""
+    probs = predict_from_representations(omega, encode(theta, dataset.features[picks]))
+    if probs.shape[1] != dataset.num_classes:
+        raise ValueError("model output width does not match the dataset's num_classes")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("model outputs are not finite; the encoder overflowed on these features")
+    return np.hstack([probs, one_hot(dataset.labels[picks], dataset.num_classes)])
+
+
 def build_attack_dataset(
     shadow_theta: WeightVector,
     shadow_omega: WeightVector,
@@ -176,17 +185,15 @@ def build_attack_dataset(
     if in_set.num_classes != out_set.num_classes:
         raise ValueError("partitions must share num_classes")
 
+    c = in_set.num_classes
     records: list[AttackRecord] = []
     for dataset, stream_index, membership in (
         (in_set, _STREAM_IN, 1),
         (out_set, _STREAM_OUT, 0),
     ):
         picks = RngStream(seed, stream_index).permutation(len(dataset))[:half]
-        reps = encode(shadow_theta, dataset.features[picks])
-        probs = predict_from_representations(shadow_omega, reps)
-        labels = one_hot(dataset.labels[picks], dataset.num_classes)
-        for p, l in zip(probs, labels):
-            records.append(AttackRecord(p, l, membership))
+        for row in _attack_inputs(shadow_theta, shadow_omega, dataset, picks):
+            records.append(AttackRecord(row[:c], row[c:], membership))
     return records
 
 
@@ -229,40 +236,6 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
     return AttackClassifier(tuple(layers), num_classes)
 
 
-def membership_scores(classifier: AttackClassifier, records) -> np.ndarray:
-    """Probability-of-membership per record, in record order."""
-    records = list(records)
-    if not records:
-        return np.zeros(0)
-    if any(r.num_classes != classifier.num_classes for r in records):
-        raise ValueError("record width does not match the classifier")
-    x, _ = _stack_inputs(records)
-    _, _, logits = _forward(classifier.layers, x)
-    return _sigmoid(logits)
-
-
-def records_accuracy(classifier: AttackClassifier, records) -> float:
-    """Fraction of records whose thresholded score matches membership."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to score")
-    scores = membership_scores(classifier, records)
-    truth = np.array([r.membership for r in records])
-    return float(np.mean((scores >= 0.5) == (truth == 1)))
-
-
-def _victim_records(model: ProtectedModel, dataset: Dataset, membership: int,
-                    use_protected_outputs: int) -> list[AttackRecord]:
-    omega = model.omega_noisy if use_protected_outputs else model.omega_clean
-    reps = encode(model.theta, dataset.features)
-    probs = predict_from_representations(omega, reps)
-    labels = one_hot(dataset.labels, dataset.num_classes)
-    return [
-        AttackRecord(p, l, membership, source=VICTIM_SOURCE)
-        for p, l in zip(probs, labels)
-    ]
-
-
 def attack_accuracy(
     classifier: AttackClassifier,
     victim: ProtectedModel,
@@ -282,44 +255,13 @@ def attack_accuracy(
     size = min(len(members), len(nonmembers))
     picks_in = RngStream(seed, _STREAM_IN).permutation(len(members))[:size]
     picks_out = RngStream(seed, _STREAM_OUT).permutation(len(nonmembers))[:size]
-    records = _victim_records(victim, members.subset(picks_in), 1, use_protected_outputs)
-    records += _victim_records(victim, nonmembers.subset(picks_out), 0, use_protected_outputs)
-    return records_accuracy(classifier, records)
-
-
-def save_attack_records(records, path) -> None:
-    """CSV with C output columns, C label columns, and a membership column."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to save")
-    c = records[0].num_classes
-    if any(r.num_classes != c for r in records):
-        raise ValueError("all records must share num_classes")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"out_{i}" for i in range(c)] + [f"label_{i}" for i in range(c)] + ["membership"]
-        )
-        for r in records:
-            writer.writerow(
-                [repr(float(v)) for v in r.output_vector]
-                + [repr(float(v)) for v in r.label_onehot]
-                + [r.membership]
-            )
-
-
-def load_attack_records(path, source: str = SHADOW_SOURCE) -> list[AttackRecord]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path} is empty")
-    header = rows[0]
-    if len(header) % 2 != 1 or header[-1] != "membership":
-        raise ValueError(f"{path} does not look like an attack-record file")
-    c = len(header) // 2
-    records = []
-    for row in rows[1:]:
-        out = np.array([float(v) for v in row[:c]])
-        lab = np.array([float(v) for v in row[c:2 * c]])
-        records.append(AttackRecord(out, lab, int(row[2 * c]), source=source))
-    return records
+    omega = victim.omega_noisy if use_protected_outputs else victim.omega_clean
+    x = np.concatenate([
+        _attack_inputs(victim.theta, omega, members, picks_in),
+        _attack_inputs(victim.theta, omega, nonmembers, picks_out),
+    ])
+    if x.shape[1] != 2 * classifier.num_classes:
+        raise ValueError("victim output width does not match the classifier")
+    _, _, logits = _forward(classifier.layers, x)
+    is_member = np.arange(2 * size) < size
+    return float(np.mean((_sigmoid(logits) >= 0.5) == is_member))

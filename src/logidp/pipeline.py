@@ -153,16 +153,6 @@ def load_dataset_csv(path, num_classes: int | None = None) -> Dataset:
     return Dataset(np.array(feats, dtype=np.float64), y, num_classes)
 
 
-def save_dataset_npz(dataset: Dataset, path) -> None:
-    np.savez(path, features=dataset.features, labels=dataset.labels,
-             num_classes=np.int64(dataset.num_classes))
-
-
-def load_dataset_npz(path) -> Dataset:
-    with np.load(path) as data:
-        return Dataset(data["features"], data["labels"], int(data["num_classes"]))
-
-
 # Total width, in octaves, of the per-class tightness ladder below.
 _SPREAD_LADDER_OCTAVES = 2.0
 

@@ -1,10 +1,10 @@
-"""Post-training weight protection: train, perturb once, answer queries.
+"""Post-training weight protection: perturb once, answer queries.
 
-The query handler trains the encoder and head, adds a single draw of
-calibrated noise to the head weights, and serves every query from the noisy
+protect_existing adds a single draw of calibrated noise to an already
+trained head, and predict_protected answers every query from the noisy
 copy. The clean head stays inside the ProtectedModel record purely so
-utility loss can be measured against the unprotected model; it is excluded
-from exported release files, as is the noise seed.
+utility loss and the unprotected attack baseline can be measured against
+it; it is excluded from exported release files, as is the noise seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import MechanismSpec, Sensitivity, budget_for_scale, sample_noise
-from .pipeline import Dataset, TrainConfig, encode, finetune_head, predict_from_representations, pretrain_encoder
+from .pipeline import encode, predict_from_representations
 from .rng import RngStream
 from .weights import WeightVector, load_weights, parse_tag, save_weights
 
@@ -73,34 +73,9 @@ def protect_existing(theta: WeightVector, omega: WeightVector, spec: MechanismSp
     return ProtectedModel(theta, omega, noisy, spec, noise_seed)
 
 
-def run_query_handler(
-    pretrain_data: Dataset,
-    finetune_data: Dataset,
-    pre_cfg: TrainConfig,
-    fine_cfg: TrainConfig,
-    spec: MechanismSpec,
-    noise_seed: int,
-    queries,
-):
-    """Train encoder and head, protect the head, answer the queries.
-
-    Returns (ProtectedModel, list of probability vectors), one vector per
-    query, all computed from the noisy head.
-    """
-    theta = pretrain_encoder(pretrain_data, pre_cfg)
-    omega = finetune_head(theta, finetune_data, fine_cfg)
-    model = protect_existing(theta, omega, spec, noise_seed)
-    return model, [predict_protected(model, q) for q in queries]
-
-
 def predict_protected(model: ProtectedModel, x):
     """Released prediction path; reads only the noisy head."""
     return predict_from_representations(model.omega_noisy, encode(model.theta, x))
-
-
-def predict_clean(model: ProtectedModel, x):
-    """Evaluation-only path through the unprotected head."""
-    return predict_from_representations(model.omega_clean, encode(model.theta, x))
 
 
 def export_protected_model(model: ProtectedModel, base_path, sensitivity: Sensitivity | None = None) -> dict:

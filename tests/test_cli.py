@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -37,6 +38,10 @@ DATA = SyntheticDataSpec(
 PRE = TrainConfig((6,), 60, 0.05, init_scale=0.05, seed=1)
 FINE = TrainConfig(epochs=80, learning_rate=0.5, seed=2)
 ATTACK = AttackClassifierConfig(epochs=300, seed=5, train_pairs=30)
+
+
+def refuse_training(cfg):
+    raise AssertionError("training ran before the budget flags were checked")
 
 
 def small_config(**overrides):
@@ -141,13 +146,15 @@ class TestProtect:
         sidecar = json.loads((tmp_path / "release.json").read_text())
         assert sidecar["scale"] == 0.25
 
-    def test_epsilon_and_scale_together_rejected(self, config_path, tmp_path, capsys):
+    def test_epsilon_and_scale_together_rejected(self, config_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("logidp.cli.train_model", refuse_training)
         code = main(["protect", "--config", str(config_path), "--mechanism", "logistic",
                      "--epsilon", "2.0", "--scale", "0.1", "--out", str(tmp_path / "r")])
         assert code == 1
         assert "exactly one" in capsys.readouterr().err
 
-    def test_neither_epsilon_nor_scale_rejected(self, config_path, tmp_path, capsys):
+    def test_neither_epsilon_nor_scale_rejected(self, config_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("logidp.cli.train_model", refuse_training)
         code = main(["protect", "--config", str(config_path), "--mechanism", "logistic",
                      "--out", str(tmp_path / "r")])
         assert code == 1
@@ -175,6 +182,15 @@ class TestAttack:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags", [["--epsilon", "2.0", "--scale", "0.1"], []])
+    def test_budget_flags_checked_before_training(self, config_path, tmp_path, capsys,
+                                                  monkeypatch, flags):
+        monkeypatch.setattr("logidp.cli.train_model", refuse_training)
+        code = main(["attack", "--config", str(config_path), "--mechanism", "logistic",
+                     *flags, "--out", str(tmp_path / "a.json")])
+        assert code == 1
+        assert "exactly one" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_two_runs_byte_identical(self, config_path, tmp_path):
@@ -198,6 +214,19 @@ class TestSweep:
         assert main(["sweep", "--config", str(config_path), "--seed", "778",
                      "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_json_identical_across_blas_thread_counts(self, config_path, tmp_path):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "logidp.cli", "sweep", "--config", str(config_path),
+                 "--format", "json", "--out", str(out)],
+                env=env, check=True, timeout=300,
+            )
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_missing_config_exits_nonzero(self, tmp_path, capsys):
         code = main(["sweep", "--config", str(tmp_path / "nope.json"),
@@ -235,6 +264,29 @@ class TestReport:
         code = main(["report", "--in", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out.csv")])
         assert code == 1
+
+
+class TestSharedStages:
+    """Every command reuses the sweep's stages, so their outputs agree."""
+
+    def test_commands_agree_with_sweep(self, config_path, report_json, tmp_path):
+        report = json.loads(report_json.read_text())
+        sens = tmp_path / "sens.json"
+        assert main(["sensitivity", "--config", str(config_path), "--out", str(sens)]) == 0
+        block = dict(report["sensitivity"])
+        assert block.pop("kind") == "sampled"
+        assert json.loads(sens.read_text()) == block
+
+        budget = ["--config", str(config_path), "--mechanism", "gaussian", "--epsilon", "2.0"]
+        assert main(["protect", *budget, "--out", str(tmp_path / "release")]) == 0
+        assert main(["attack", *budget, "--out", str(tmp_path / "attack.json")]) == 0
+        sidecar = json.loads((tmp_path / "release.json").read_text())
+        attack = json.loads((tmp_path / "attack.json").read_text())
+        (row,) = [r for r in report["averaged"]
+                  if r["mechanism"] == "gaussian" and r["epsilon"] == 2.0]
+        assert sidecar["scale"] == attack["scale"] == row["scale"]
+        baseline = report["unprotected_baseline"]["mia_accuracy"]
+        assert attack["unprotected_mia_accuracy"] == baseline
 
 
 class TestEntryPoint:

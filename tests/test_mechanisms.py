@@ -17,8 +17,6 @@ from logidp.mechanisms import (
     ratio_probe_grid,
     sample_noise,
     scale_for_budget,
-    spec_from_config,
-    spec_to_config,
 )
 from logidp.noise import logistic_pdf, LogisticParams
 from logidp.rng import RngStream
@@ -262,24 +260,3 @@ class TestMultivariateCertificate:
         spec = MechanismSpec(MechanismKind.LOGISTIC, 1.0)
         with pytest.raises(ValueError):
             multivariate_log_ratio_check(spec, [0.1, float("inf")], 101, 100)
-
-
-class TestSpecSerialization:
-    def test_scale_form_round_trip(self):
-        spec = MechanismSpec(MechanismKind.GAUSSIAN, 0.37, 1e-5)
-        assert spec_from_config(spec_to_config(spec)) == spec
-
-    def test_epsilon_form_resolves_against_sensitivity(self):
-        obj = {"kind": "logistic", "epsilon": 3.4984}
-        spec = spec_from_config(obj, Sensitivity(NormKind.L1, 0.017492))
-        assert_allclose(spec.scale, 0.005, rtol=1e-12)
-
-    def test_epsilon_form_without_sensitivity_errors(self):
-        with pytest.raises(ValueError):
-            spec_from_config({"kind": "logistic", "epsilon": 1.0})
-
-    def test_ambiguous_form_errors(self):
-        with pytest.raises(ValueError):
-            spec_from_config({"kind": "logistic", "scale": 1.0, "epsilon": 1.0})
-        with pytest.raises(ValueError):
-            spec_from_config({"kind": "logistic"})

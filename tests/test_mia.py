@@ -8,15 +8,11 @@ from logidp.mia import (
     AttackRecord,
     attack_accuracy,
     build_attack_dataset,
-    load_attack_records,
-    membership_scores,
-    records_accuracy,
-    save_attack_records,
     train_attack_classifier,
 )
-from logidp.pipeline import TrainConfig, make_synthetic_dataset, pretrain_encoder, finetune_head, predict
+from logidp.pipeline import Dataset, TrainConfig, make_synthetic_dataset, pretrain_encoder, finetune_head, predict
 from logidp.protection import ProtectedModel, protect_existing
-from logidp.weights import WeightVector
+from logidp.weights import WeightVector, make_tag
 
 
 def confident_record(rng, member, num_classes=4):
@@ -28,6 +24,27 @@ def confident_record(rng, member, num_classes=4):
     out = np.full(num_classes, (1 - conf) / (num_classes - 1))
     out[k] = conf
     return AttackRecord(out, label, int(member))
+
+
+def records_accuracy(classifier, records) -> float:
+    """Accuracy of the classifier on the records, scored by attack_accuracy.
+
+    The victim's encoder and head are identity matrices, so its output on a
+    feature row arcsinh(log p) is softmax(log p) = p, each record's own
+    output vector.
+    """
+    c = records[0].num_classes
+    eye = np.eye(c)
+    theta = WeightVector(np.concatenate([eye.ravel(), np.zeros(c)]), make_tag("encoder", **{"in": c, "hidden": c}))
+    omega = WeightVector(eye.ravel(), make_tag("head", **{"in": c, "classes": c}))
+    victim = ProtectedModel(theta, omega, omega, MechanismSpec(MechanismKind.LOGISTIC, 1.0), 0)
+
+    def as_dataset(membership):
+        rows = [r for r in records if r.membership == membership]
+        features = np.arcsinh(np.log([r.output_vector for r in rows]))
+        return Dataset(features, [int(np.argmax(r.label_onehot)) for r in rows], c)
+
+    return attack_accuracy(classifier, victim, as_dataset(1), as_dataset(0), 0, 0)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +83,12 @@ class TestAttackRecord:
     def test_membership_is_a_bit(self):
         with pytest.raises(ValueError):
             AttackRecord(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 2)
+
+    def test_nonfinite_output_rejected(self):
+        with pytest.raises(ValueError):
+            AttackRecord(np.array([np.nan, 1.0]), np.array([1.0, 0.0]), 1)
+        with pytest.raises(ValueError):
+            AttackRecord(np.array([np.inf, 0.0]), np.array([1.0, 0.0]), 1)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):
@@ -122,6 +145,14 @@ class TestBuildAttackDataset:
         theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
         with pytest.raises(ValueError):
             build_attack_dataset(theta, omega_shadow, sh_in, sh_out, 3, 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_shadow_outputs_rejected(self, shadow_setup):
+        # features this large overflow the sinh encoder into NaN outputs
+        theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
+        huge = Dataset(sh_in.features * 1e5, sh_in.labels, sh_in.num_classes)
+        with pytest.raises(ValueError, match="not finite"):
+            build_attack_dataset(theta, omega_shadow, huge, sh_out, 10, 3)
 
     def test_records_are_shadow_tagged(self, shadow_setup):
         theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
@@ -278,6 +309,16 @@ class TestAttackAccuracy:
         b = attack_accuracy(clf, victim, vic_in, vic_out, 1, 5)
         assert a == b
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_victim_outputs_rejected(self, shadow_setup):
+        theta, omega_victim, _, vic_in, vic_out, *_ = shadow_setup
+        victim = protect_existing(theta, omega_victim, MechanismSpec(MechanismKind.LOGISTIC, 1.0), 9)
+        clf = constant_classifier(vic_in.num_classes, 1e-6)
+        huge = Dataset(vic_out.features * 1e5, vic_out.labels, vic_out.num_classes)
+        for use_protected_outputs in (0, 1):
+            with pytest.raises(ValueError, match="not finite"):
+                attack_accuracy(clf, victim, vic_in, huge, use_protected_outputs, 5)
+
     def test_unequal_sets_are_subsampled_to_balance(self, shadow_setup):
         theta, omega_victim, _, vic_in, vic_out, *_ = shadow_setup
         victim = protect_existing(theta, omega_victim, MechanismSpec(MechanismKind.LOGISTIC, 1.0), 9)
@@ -287,47 +328,10 @@ class TestAttackAccuracy:
 
 
 class TestScores:
-    def test_scores_lie_in_unit_interval(self, separable_records):
-        clf = train_attack_classifier(separable_records, AttackClassifierConfig(epochs=100, seed=2))
-        scores = membership_scores(clf, separable_records)
-        assert np.all((scores > 0) & (scores < 1))
-
-    def test_width_mismatch_rejected(self, separable_records):
+    def test_width_mismatch_rejected(self, separable_records, shadow_setup):
+        theta, omega_victim, _, vic_in, vic_out, *_ = shadow_setup
         clf = train_attack_classifier(separable_records, AttackClassifierConfig(epochs=1, seed=2))
-        bad = AttackRecord(np.full(6, 1 / 6), np.eye(6)[0], 1)
+        victim = protect_existing(theta, omega_victim, MechanismSpec(MechanismKind.LOGISTIC, 1.0), 9)
+        assert vic_in.num_classes != clf.num_classes
         with pytest.raises(ValueError):
-            membership_scores(clf, [bad])
-
-
-class TestCsvRoundTrip:
-    def test_round_trip_preserves_everything(self, separable_records, tmp_path):
-        path = tmp_path / "records.csv"
-        save_attack_records(separable_records, path)
-        loaded = load_attack_records(path)
-        assert len(loaded) == len(separable_records)
-        for a, b in zip(separable_records, loaded):
-            assert np.array_equal(a.output_vector, b.output_vector)
-            assert np.array_equal(a.label_onehot, b.label_onehot)
-            assert a.membership == b.membership
-        assert all(r.source == "shadow" for r in loaded)
-
-    def test_header_shape(self, separable_records, tmp_path):
-        path = tmp_path / "records.csv"
-        save_attack_records(separable_records[:4], path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header == [
-            "out_0", "out_1", "out_2", "out_3",
-            "label_0", "label_1", "label_2", "label_3",
-            "membership",
-        ]
-
-    def test_loaded_victim_source_is_rejected_by_trainer(self, separable_records, tmp_path):
-        path = tmp_path / "records.csv"
-        save_attack_records(separable_records, path)
-        loaded = load_attack_records(path, source="victim")
-        with pytest.raises(ValueError):
-            train_attack_classifier(loaded, AttackClassifierConfig(epochs=1, seed=0))
-
-    def test_empty_record_list_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_attack_records([], tmp_path / "none.csv")
+            attack_accuracy(clf, victim, vic_in, vic_out, 0, 5)

@@ -14,7 +14,6 @@ from logidp.pipeline import (
     head_loss,
     head_loss_gradient,
     load_dataset_csv,
-    load_dataset_npz,
     make_synthetic_dataset,
     one_hot,
     predict,
@@ -22,7 +21,6 @@ from logidp.pipeline import (
     pretrain_encoder,
     pseudo_task_training_accuracy,
     save_dataset_csv,
-    save_dataset_npz,
 )
 from logidp.weights import WeightVector
 
@@ -361,11 +359,3 @@ class TestDatasetIO:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             load_dataset_csv(path)
-
-    def test_npz_round_trip_exact(self, ten_class, tmp_path):
-        path = tmp_path / "data.npz"
-        save_dataset_npz(ten_class, path)
-        back = load_dataset_npz(path)
-        assert np.array_equal(back.features, ten_class.features)
-        assert np.array_equal(back.labels, ten_class.labels)
-        assert back.num_classes == 10

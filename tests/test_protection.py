@@ -10,10 +10,8 @@ from logidp.protection import (
     export_protected_model,
     load_protected_release,
     noise_vector,
-    predict_clean,
     predict_protected,
     protect_existing,
-    run_query_handler,
 )
 from logidp.weights import WeightVector
 
@@ -86,38 +84,33 @@ class TestProtectExisting:
 
 
 class TestQueryHandler:
+    """predict_protected answers the queries of a protected release."""
+
     def test_empty_queries_give_empty_output(self, small):
-        data, pre_cfg, fine_cfg, *_ = small
-        _, outputs = run_query_handler(data, data, pre_cfg, fine_cfg, LOG, 4, [])
-        assert outputs == []
+        data, *_, theta, omega = small
+        model = protect_existing(theta, omega, LOG, 4)
+        assert predict_protected(model, data.features[:0]).shape == (0, 3)
 
     def test_tiny_scale_matches_unprotected(self, small):
-        data, pre_cfg, fine_cfg, theta, omega = small
+        data, _, _, theta, omega = small
         tiny = MechanismSpec(MechanismKind.LOGISTIC, 1e-12)
-        model, outputs = run_query_handler(
-            data, data, pre_cfg, fine_cfg, tiny, 11, list(data.features[:20])
-        )
-        for q, out in zip(data.features[:20], outputs):
-            assert np.abs(out - predict(theta, omega, q)).max() < 1e-6
+        model = protect_existing(theta, omega, tiny, 11)
+        for q in data.features[:20]:
+            assert np.abs(predict_protected(model, q) - predict(theta, omega, q)).max() < 1e-6
 
     def test_deterministic_end_to_end(self, small):
-        data, pre_cfg, fine_cfg, *_ = small
-        qs = list(data.features[:3])
-        m1, o1 = run_query_handler(data, data, pre_cfg, fine_cfg, LOG, 21, qs)
-        m2, o2 = run_query_handler(data, data, pre_cfg, fine_cfg, LOG, 21, qs)
+        data, *_, theta, omega = small
+        qs = data.features[:3]
+        m1 = protect_existing(theta, omega, LOG, 21)
+        m2 = protect_existing(theta, omega, LOG, 21)
         assert m1.omega_noisy == m2.omega_noisy and m1.theta == m2.theta
-        assert all(np.array_equal(a, b) for a, b in zip(o1, o2))
-
-    def test_handler_composes_training_stages(self, small):
-        data, pre_cfg, fine_cfg, theta, omega = small
-        model, _ = run_query_handler(data, data, pre_cfg, fine_cfg, LOG, 6, [])
-        assert model.theta == theta
-        assert model.omega_clean == omega
+        assert np.array_equal(predict_protected(m1, qs), predict_protected(m2, qs))
 
     def test_outputs_are_probability_vectors(self, small):
-        data, pre_cfg, fine_cfg, *_ = small
-        _, outputs = run_query_handler(data, data, pre_cfg, fine_cfg, LOG, 12, list(data.features[:4]))
-        for out in outputs:
+        data, *_, theta, omega = small
+        model = protect_existing(theta, omega, LOG, 12)
+        for q in data.features[:4]:
+            out = predict_protected(model, q)
             assert out.shape == (3,)
             assert abs(out.sum() - 1.0) < 1e-12
 
@@ -138,17 +131,11 @@ class TestProtectedPaths:
         out = predict_protected(sabotaged, data.features[0])
         assert np.all(np.isfinite(out))
 
-    def test_clean_path_matches_unprotected_predict(self, small):
-        data, _, _, theta, omega = small
-        model = protect_existing(theta, omega, LOG, 14)
-        x = data.features[0]
-        assert np.array_equal(predict_clean(model, x), predict(theta, omega, x))
-
     def test_protected_and_clean_disagree_at_large_scale(self, small):
         data, _, _, theta, omega = small
         model = protect_existing(theta, omega, MechanismSpec(MechanismKind.LOGISTIC, 50.0), 15)
         a = np.stack([predict_protected(model, x) for x in data.features[:10]])
-        b = np.stack([predict_clean(model, x) for x in data.features[:10]])
+        b = np.stack([predict(theta, omega, x) for x in data.features[:10]])
         assert np.abs(a - b).max() > 1e-3
 
 
