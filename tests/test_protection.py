@@ -131,6 +131,17 @@ class TestProtectedPaths:
         out = predict_protected(sabotaged, data.features[0])
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_encoder_overflow_raises_instead_of_nan(self, small):
+        # features this large overflow sinh; no NaN row may be returned
+        data, *_, theta, omega = small
+        model = protect_existing(theta, omega, LOG, 14)
+        huge = data.features[:10] * 1e5
+        with pytest.raises(ValueError, match="not finite.*encoder overflowed"):
+            predict_protected(model, huge)
+        with pytest.raises(ValueError, match="not finite.*encoder overflowed"):
+            predict(theta, omega, huge)
+
     def test_protected_and_clean_disagree_at_large_scale(self, small):
         data, _, _, theta, omega = small
         model = protect_existing(theta, omega, MechanismSpec(MechanismKind.LOGISTIC, 50.0), 15)
