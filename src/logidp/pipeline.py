@@ -5,7 +5,10 @@ task (predict which seeded signed coordinate permutation was applied to the
 input), then a bias-free linear softmax head is fit on the frozen encoder's
 outputs by full-batch gradient descent. Every training step is an explicit
 numpy expression over seeded draws, so identical inputs give bitwise-identical
-weights; the sensitivity sampler depends on that.
+weights; the sensitivity sampler depends on that. Softmax logits are laid out
+class-major, (classes, records), because numpy reduces a short contiguous
+class axis one record at a time but reduces across rows in a few vectorised
+passes; the class sum keeps numpy's pairwise order, so the bytes do not change.
 
 The encoder nonlinearity is sinh: odd and unbounded, it stretches the scale
 spectrum of the representations, so different records tolerate very different
@@ -205,16 +208,56 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
+# numpy sums a contiguous run of values pairwise in blocks of this many.
+_PAIRWISE_BLOCK = 128
+
+
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """Column sums of a (classes, n) array, added in the order numpy's
+    pairwise sum adds one contiguous run of classes, so that the result is
+    byte-equal to the row-major e.T.sum(axis=1): fewer than 8 classes add
+    one by one; up to a block, 8 strided accumulators combine as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the leftover classes; a
+    longer run splits at a multiple of 8 near its middle."""
+    c = e.shape[0]
+    if c < 8:
+        s = e[0].copy()
+        for row in e[1:]:
+            s += row
+        return s
+    if c <= _PAIRWISE_BLOCK:
+        stop = c - c % 8
+        r = e[:8].copy()
+        for i in range(8, stop, 8):
+            r += e[i : i + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in e[stop:]:
+            s += row
+        return s
+    half = c // 2
+    half -= half % 8
+    return _class_sum(e[:half]) + _class_sum(e[half:])
+
+
+def _softmax_inplace(z: np.ndarray) -> np.ndarray:
+    """Softmax over axis 0 of a contiguous (classes, n) array, in place."""
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= _class_sum(z)
+    return z
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of (n, classes) logits, computed class-major."""
+    return _softmax_inplace(logits.T.copy()).T
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(logsumexp - z[np.arange(len(labels)), labels]))
+def _cross_entropy(logits_t: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of contiguous class-major (classes, n) logits."""
+    z = logits_t - logits_t.max(axis=0)
+    picked = z[labels, np.arange(len(labels))]
+    np.exp(z, out=z)
+    return float(np.mean(np.log(_class_sum(z)) - picked))
 
 
 def _uniform_init(stream: RngStream, count: int, init_scale: float) -> np.ndarray:
@@ -397,17 +440,21 @@ def _finetune_head_traced(theta: WeightVector, dataset: Dataset, cfg: TrainConfi
     n, hidden = reps.shape
     c = dataset.num_classes
     w = _head_init(hidden, c, cfg)
-    yy = one_hot(dataset.labels, c)
+    reps_t = np.ascontiguousarray(reps.T)
+    yy_t = np.ascontiguousarray(one_hot(dataset.labels, c).T)
+    z = np.empty((c, n))
     lr, wd = cfg.learning_rate, cfg.weight_decay
     losses = []
     for _ in range(cfg.epochs):
-        logits = reps @ w
+        np.matmul(w.T, reps_t, out=z)
         if trace:
-            losses.append(_cross_entropy(logits, dataset.labels))
-        g = (_softmax(logits) - yy) / n
-        w -= lr * (reps.T @ g + wd * w)
+            losses.append(_cross_entropy(z, dataset.labels))
+        _softmax_inplace(z)
+        z -= yy_t
+        z /= n
+        w -= lr * (reps.T @ z.T + wd * w)
     if trace:
-        losses.append(_cross_entropy(reps @ w, dataset.labels))
+        losses.append(_cross_entropy(np.matmul(w.T, reps_t, out=z), dataset.labels))
     omega = WeightVector(w.ravel(), _head_tag(hidden, c))
     return omega, np.array(losses)
 
@@ -418,7 +465,7 @@ def head_loss(theta: WeightVector, dataset: Dataset, omega: WeightVector) -> flo
         raise ValueError("dataset is empty")
     w = _unflatten_head(omega)
     logits = encode(theta, dataset.features) @ w
-    return _cross_entropy(logits, dataset.labels)
+    return _cross_entropy(np.ascontiguousarray(logits.T), dataset.labels)
 
 
 def head_loss_gradient(theta: WeightVector, dataset: Dataset, omega: WeightVector) -> np.ndarray:

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import textwrap
 
 import numpy as np
@@ -21,6 +18,8 @@ from logidp.mia import (
 from logidp.pipeline import Dataset, TrainConfig, make_synthetic_dataset, pretrain_encoder, finetune_head, predict
 from logidp.protection import ProtectedModel, protect_existing
 from logidp.weights import WeightVector, make_tag
+
+from blas_threads import stdout_by_thread_count
 
 
 def confident_record(rng, member, num_classes=4):
@@ -231,27 +230,15 @@ def thread_digests():
     reference_train, each trained in a fresh process at the benchmark's
     attack shape: 1000 records through 5 x 64 hidden units, large enough
     for OpenBLAS to split the matmuls over threads."""
-    script = textwrap.dedent("""
-        import hashlib, sys
-        sys.path[:0] = sys.argv[1:]
+    return stdout_by_thread_count(textwrap.dedent("""
+        import hashlib
         from test_mia import layer_bytes, random_records, reference_train
         from logidp.mia import AttackClassifierConfig, train_attack_classifier
         records = random_records(1000, num_classes=10)
         cfg = AttackClassifierConfig(epochs=20, seed=4)
         for layers in (train_attack_classifier(records, cfg).layers, reference_train(records, cfg)):
             print(hashlib.sha256(layer_bytes(layers)).hexdigest())
-    """)
-    tests_dir = os.path.dirname(os.path.abspath(__file__))
-    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
-    digests = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, tests_dir, src_dir],
-            env=env, check=True, capture_output=True, text=True, timeout=300,
-        )
-        digests[threads] = tuple(proc.stdout.split())
-    return digests
+    """))
 
 
 class TestTrainAttackClassifier:

@@ -1,11 +1,20 @@
+import textwrap
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logidp.pipeline import (
     Dataset,
     PSEUDO_TASK_CLASSES,
     Record,
     TrainConfig,
+    _STREAM_INIT,
+    _cross_entropy,
+    _head_init,
+    _pseudo_task_data,
+    _softmax,
+    _uniform_init,
     accuracy,
     encode,
     encoder_preactivation,
@@ -22,7 +31,71 @@ from logidp.pipeline import (
     pseudo_task_training_accuracy,
     save_dataset_csv,
 )
+from logidp.rng import RngStream
 from logidp.weights import WeightVector
+
+from blas_threads import stdout_by_thread_count
+
+
+# Reference trainers: the row-major (records x classes) softmax, loss, head
+# loop and pseudo-task loop that the class-major pipeline must match bit for
+# bit.
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    z = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=1))
+    return float(np.mean(logsumexp - z[np.arange(len(labels)), labels]))
+
+
+def reference_finetune_head(theta, dataset, cfg):
+    """Head weights and the loss before each step plus after the last."""
+    reps = encode(theta, dataset.features)
+    n, hidden = reps.shape
+    c = dataset.num_classes
+    w = _head_init(hidden, c, cfg)
+    yy = one_hot(dataset.labels, c)
+    lr, wd = cfg.learning_rate, cfg.weight_decay
+    losses = []
+    for _ in range(cfg.epochs):
+        logits = reps @ w
+        losses.append(reference_cross_entropy(logits, dataset.labels))
+        g = (reference_softmax(logits) - yy) / n
+        w -= lr * (reps.T @ g + wd * w)
+    losses.append(reference_cross_entropy(reps @ w, dataset.labels))
+    return w.ravel(), np.array(losses)
+
+
+def reference_pretrain(dataset, cfg) -> np.ndarray:
+    """The encoder values pretrain_encoder returns: w1 row-major, then b1."""
+    d, h, k = dataset.feature_dim, cfg.hidden_dims[0], PSEUDO_TASK_CLASSES
+    x, y = _pseudo_task_data(dataset, cfg.seed)
+    init = RngStream(cfg.seed, _STREAM_INIT)
+    flat = _uniform_init(init, d * h + h + h * k + k, cfg.init_scale)
+    w1 = flat[: d * h].reshape(d, h).copy()
+    b1 = flat[d * h : d * h + h].copy()
+    w2 = flat[d * h + h : d * h + h + h * k].reshape(h, k).copy()
+    b2 = flat[d * h + h + h * k :].copy()
+    yy = one_hot(y, k)
+    n = x.shape[0]
+    lr, wd = cfg.learning_rate, cfg.weight_decay
+    for _ in range(cfg.epochs):
+        pre = x @ w1 + b1
+        hidden = np.sinh(pre)
+        probs = reference_softmax(hidden @ w2 + b2)
+        g = (probs - yy) / n
+        d_hidden = (g @ w2.T) * np.cosh(pre)
+        w2 -= lr * (hidden.T @ g + wd * w2)
+        b2 -= lr * g.sum(axis=0)
+        w1 -= lr * (x.T @ d_hidden + wd * w1)
+        b1 -= lr * d_hidden.sum(axis=0)
+    return np.concatenate([w1.ravel(), b1])
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +235,14 @@ class TestPretraining:
         cfg = TrainConfig(hidden_dims=(5,), epochs=10, learning_rate=0.5, seed=4)
         assert pretrain_encoder(ten_class, cfg) == pretrain_encoder(relabeled, cfg)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.03])
+    def test_byte_equal_to_reference_trainer(self, ten_class, weight_decay):
+        cfg = TrainConfig(
+            hidden_dims=(8,), epochs=200, learning_rate=0.1, init_scale=0.05, seed=11,
+            weight_decay=weight_decay,
+        )
+        assert pretrain_encoder(ten_class, cfg).values.tobytes() == reference_pretrain(ten_class, cfg).tobytes()
+
 
 class TestEncode:
     def test_zero_weights_give_zero_output(self, ten_class):
@@ -237,6 +318,83 @@ class TestFinetune:
         hist = finetune_head_loss_history(theta, ten_class, TrainConfig(epochs=50, learning_rate=0.05, seed=5))
         assert len(hist) == 51
         assert np.all(np.diff(hist) <= 0)
+
+    # 1-7 classes take the sequential class sum, 8-17 the 8-accumulator
+    # one with and without leftover classes, 25 several blocks of 8.
+    @pytest.mark.parametrize("num_classes", [1, 4, 7, 8, 10, 16, 17, 25])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.03])
+    @pytest.mark.parametrize("records", [1, 420])
+    def test_byte_equal_to_reference_trainer(self, trained, num_classes, weight_decay, records):
+        theta, _ = trained
+        per_class = -(-records // num_classes)
+        data = make_synthetic_dataset(num_classes, per_class, 32, 1.0, num_classes).subset(range(records))
+        cfg = TrainConfig(epochs=40, learning_rate=0.5, seed=5, weight_decay=weight_decay)
+        want, want_losses = reference_finetune_head(theta, data, cfg)
+        omega = finetune_head(theta, data, cfg)
+        assert omega.values.tobytes() == want.tobytes()
+        assert finetune_head_loss_history(theta, data, cfg).tobytes() == want_losses.tobytes()
+        assert head_loss(theta, data, omega) == want_losses[-1]
+        reps = encode(theta, data.features)
+        g = (reference_softmax(reps @ omega.values.reshape(8, -1)) - one_hot(data.labels, num_classes)) / records
+        assert head_loss_gradient(theta, data, omega).tobytes() == (reps.T @ g).ravel().tobytes()
+
+
+@pytest.fixture(scope="module")
+def thread_digests():
+    """threads -> SHA-256 of the encoder from pretrain_encoder and from
+    reference_pretrain, then of the head from finetune_head and from
+    reference_finetune_head, each run in a fresh process at the benchmark's
+    shapes: 2000 pretraining records (8000 pseudo-task rows) through 4
+    hidden units, a 10-class head on 500 records."""
+    return stdout_by_thread_count(textwrap.dedent("""
+        import hashlib
+        from test_pipeline import reference_finetune_head, reference_pretrain
+        from logidp.pipeline import TrainConfig, finetune_head, make_synthetic_dataset, pretrain_encoder
+        full = make_synthetic_dataset(10, 250, 32, 1.0, 126)
+        pre, tune = full.subset(range(2000)), full.subset(range(2000, 2500))
+        pre_cfg = TrainConfig(hidden_dims=(4,), epochs=50, learning_rate=0.1, init_scale=0.05, seed=101)
+        tune_cfg = TrainConfig(epochs=300, learning_rate=0.5, weight_decay=0.03, seed=202)
+        theta = pretrain_encoder(pre, pre_cfg)
+        for values in (
+            theta.values, reference_pretrain(pre, pre_cfg),
+            finetune_head(theta, tune, tune_cfg).values, reference_finetune_head(theta, tune, tune_cfg)[0],
+        ):
+            print(hashlib.sha256(values.tobytes()).hexdigest())
+    """))
+
+
+class TestBlasThreadCounts:
+    def test_matches_reference_trainers_under_each_count(self, thread_digests):
+        for threads, (encoder, ref_encoder, head, ref_head) in thread_digests.items():
+            assert len(encoder) == 64 and encoder == ref_encoder and head == ref_head, threads
+
+    def test_encoder_and_head_identical_across_counts(self, thread_digests):
+        assert thread_digests["1"] == thread_digests["2"]
+
+
+class TestClassMajorSoftmax:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=st.integers(1, 600),
+        # up to 40 classes, plus runs past numpy's 128-value pairwise block
+        classes=st.one_of(st.integers(1, 40), st.sampled_from([128, 129, 136, 300])),
+        seed=st.integers(0, 2**32 - 1),
+        low=st.floats(-12.0, 3.0),
+        span=st.floats(0.0, 290.0),
+        tie_share=st.floats(0.0, 1.0),
+    )
+    def test_softmax_and_loss_byte_equal_to_row_major(self, records, classes, seed, low, span, tie_share):
+        rng = np.random.default_rng(seed)
+        magnitude = 10.0 ** rng.uniform(low, low + span, (records, classes))
+        logits = np.where(rng.random((records, classes)) < 0.5, -magnitude, magnitude)
+        logits[:, rng.random(classes) < tie_share] = logits[:, [rng.integers(classes)]]
+        flat_rows = rng.random(records) < tie_share / 4
+        logits[flat_rows] = logits[flat_rows, :1]
+        labels = rng.integers(0, classes, records)
+        before = logits.tobytes()
+        assert _softmax(logits).tobytes() == reference_softmax(logits).tobytes()
+        assert logits.tobytes() == before
+        assert _cross_entropy(np.ascontiguousarray(logits.T), labels) == reference_cross_entropy(logits, labels)
 
 
 class TestPredict:
