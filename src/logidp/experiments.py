@@ -256,17 +256,6 @@ def utility_loss(protected_metric: float, unprotected_metric: float) -> float:
     return 1.0 - protected_metric / unprotected_metric
 
 
-def halving_epsilon_grid(delta_l1: float, anchor_scale: float = 0.005, points: int = 9) -> tuple[float, ...]:
-    """Epsilon grid delta1/(anchor_scale * 2^k): each point half the previous."""
-    if not (np.isfinite(delta_l1) and delta_l1 > 0):
-        raise ValueError(f"delta_l1 must be positive, got {delta_l1}")
-    if not (np.isfinite(anchor_scale) and anchor_scale > 0):
-        raise ValueError(f"anchor_scale must be positive, got {anchor_scale}")
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
-    return tuple(delta_l1 / (anchor_scale * 2**k) for k in range(points))
-
-
 # --- pipeline stages ---------------------------------------------------------
 # run_sweep and every CLI command build on these, so a given config and
 # master seed train, sample and audit identically on every path.

@@ -1,12 +1,11 @@
 """Privacy accounting for additive noise on weight vectors.
 
 Converts between noise scale and privacy budget for the logistic, Laplace,
-and Gaussian mechanisms, perturbs flat weight vectors with iid per-coordinate
-noise, and certifies the differential-privacy density-ratio bounds
-numerically. The logistic and Laplace mechanisms are calibrated against
-1-norm sensitivity (budget epsilon = sensitivity / scale, delta = 0); the
-Gaussian mechanism against 2-norm sensitivity with
-sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon.
+and Gaussian mechanisms, draws their iid location-0 noise, and certifies the
+differential-privacy density-ratio bounds numerically. The logistic and
+Laplace mechanisms are calibrated against 1-norm sensitivity (budget
+epsilon = sensitivity / scale, delta = 0); the Gaussian mechanism against
+2-norm sensitivity with sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .noise import (
     sample_logistic,
 )
 from .rng import RngStream
-from .weights import WeightVector
 
 
 class MechanismKind(str, Enum):
@@ -132,31 +130,13 @@ def budget_for_scale(spec: MechanismSpec, sens: Sensitivity) -> PrivacyBudget:
     return PrivacyBudget(epsilon, spec.delta)
 
 
-def noise_params(spec: MechanismSpec):
-    """Location-0 params for the spec's noise distribution."""
-    if spec.kind is MechanismKind.LOGISTIC:
-        return LogisticParams(0.0, spec.scale)
-    if spec.kind is MechanismKind.LAPLACE:
-        return LaplaceParams(0.0, spec.scale)
-    return GaussianParams(0.0, spec.scale)
-
-
 def sample_noise(spec: MechanismSpec, rng: RngStream, n: int) -> np.ndarray:
     """n iid location-0 noise draws for the spec; pure in (spec, rng, n)."""
-    p = noise_params(spec)
     if spec.kind is MechanismKind.LOGISTIC:
-        return sample_logistic(rng, p, n)
+        return sample_logistic(rng, LogisticParams(0.0, spec.scale), n)
     if spec.kind is MechanismKind.LAPLACE:
-        return sample_laplace(rng, p, n)
-    return sample_gaussian(rng, p, n)
-
-
-def perturb(w: WeightVector, spec: MechanismSpec, rng: RngStream) -> WeightVector:
-    """w plus iid per-coordinate noise; input left unmodified."""
-    v = w.values
-    if not np.all(np.isfinite(v)):
-        raise ValueError("weights must be finite")
-    return WeightVector(v + sample_noise(spec, rng, v.size), w.shape_tag)
+        return sample_laplace(rng, LaplaceParams(0.0, spec.scale), n)
+    return sample_gaussian(rng, GaussianParams(0.0, spec.scale), n)
 
 
 def _log_density_ratio(kind: MechanismKind, scale: float, gamma: float, z: np.ndarray) -> np.ndarray:
@@ -211,29 +191,16 @@ def multivariate_log_ratio_check(
     """Max over probe vectors z of the summed per-coordinate log ratios.
 
     Coordinate i is probed on ratio_probe_grid(scale, gamma_vec[i],
-    z_grid_per_dim). Probes are num_samples random grid-index combinations
-    plus the coordinate-wise argmax combination; the argmax combination
-    dominates every sampled one because the sum separates per coordinate,
-    so the result is the exact maximum over the whole product grid. For a
-    single coordinate this equals log_ratio_bound_check on the same grid.
+    z_grid_per_dim). The sum separates per coordinate, so the coordinate-wise
+    argmax combination dominates every other point of the product grid: the
+    sum of log_ratio_bound_check over the coordinates is the exact maximum
+    over the whole grid. num_samples and rng are unused and kept for
+    existing callers; they drew random grid combinations, which that argmax
+    bound never let change the result.
     """
     g = np.asarray(gamma_vec, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(g)):
         raise ValueError("gamma_vec must be finite")
-    if g.size == 0:
-        return 0.0
-    per_dim = np.stack(
-        [
-            _log_density_ratio(spec.kind, spec.scale, gi, ratio_probe_grid(spec.scale, gi, z_grid_per_dim))
-            for gi in g
-        ]
+    return float(
+        np.sum([log_ratio_bound_check(spec, gi, ratio_probe_grid(spec.scale, gi, z_grid_per_dim)) for gi in g])
     )
-    best = float(np.sum(np.max(per_dim, axis=1)))
-    if num_samples > 0:
-        if rng is None:
-            rng = RngStream(0, 0)
-        idx = rng.indices(num_samples * g.size, per_dim.shape[1]).reshape(num_samples, g.size)
-        sampled = float(np.max(np.sum(per_dim[np.arange(g.size)[None, :], idx], axis=1)))
-        best = max(best, sampled)
-    return best
-

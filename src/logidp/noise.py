@@ -98,18 +98,6 @@ def logistic_cdf(x, p: LogisticParams = LogisticParams()):
     return _match_shape(out if np.ndim(x) else out[0], x)
 
 
-def laplace_log_pdf(x, p: LaplaceParams = LaplaceParams()):
-    """log Laplace density: -|x-mu|/b - log(2b)."""
-    t = np.abs(_standardized(x, p.mu, p.b))
-    return _match_shape(-t - math.log(2.0 * p.b), x)
-
-
-def gaussian_log_pdf(x, p: GaussianParams = GaussianParams()):
-    """log Gaussian density."""
-    t = _standardized(x, p.mu, p.sigma)
-    return _match_shape(-0.5 * t * t - math.log(p.sigma) - 0.5 * math.log(2.0 * math.pi), x)
-
-
 def sample_logistic(rng: RngStream, p: LogisticParams, n: int) -> np.ndarray:
     """n iid draws via the inverse CDF mu + s ln(u / (1 - u))."""
     u = rng.uniforms(n)

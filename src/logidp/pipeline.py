@@ -35,12 +35,6 @@ _STREAM_TASK = 1
 
 
 @dataclass(frozen=True)
-class Record:
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Hyper-parameters for either training stage.
 
@@ -107,9 +101,6 @@ class Dataset:
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def record(self, i: int) -> Record:
-        return Record(self.features[i], int(self.labels[i]))
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
@@ -119,14 +110,6 @@ class Dataset:
             raise IndexError(f"record index {i} out of range")
         keep = np.concatenate([np.arange(i), np.arange(i + 1, len(self))])
         return self.subset(keep)
-
-    @staticmethod
-    def from_records(records, num_classes: int) -> "Dataset":
-        if not records:
-            raise ValueError("need at least one record")
-        feats = np.stack([np.asarray(r.features, dtype=np.float64) for r in records])
-        labels = np.array([r.label for r in records], dtype=np.int64)
-        return Dataset(feats, labels, num_classes)
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
@@ -287,7 +270,13 @@ def _pseudo_task_data(dataset: Dataset, seed: int):
     return x, y
 
 
-def _train_pseudo_task(dataset: Dataset, cfg: TrainConfig):
+def pretrain_encoder(dataset: Dataset, cfg: TrainConfig) -> WeightVector:
+    """Train on the pseudo-label task and return the hidden layer.
+
+    Pseudo-labels index which seeded transformation produced each input;
+    dataset.labels never enter. The returned vector is the hidden layer's
+    weight matrix (row-major) followed by its bias.
+    """
     if len(dataset) == 0:
         raise ValueError("pretraining dataset is empty")
     if cfg.epochs < 1:
@@ -315,26 +304,8 @@ def _train_pseudo_task(dataset: Dataset, cfg: TrainConfig):
         b2 -= lr * g.sum(axis=0)
         w1 -= lr * (x.T @ d_hidden + wd * w1)
         b1 -= lr * d_hidden.sum(axis=0)
-    return w1, b1, w2, b2, x, y
-
-
-def pretrain_encoder(dataset: Dataset, cfg: TrainConfig) -> WeightVector:
-    """Train on the pseudo-label task and return the hidden layer.
-
-    Pseudo-labels index which seeded transformation produced each input;
-    dataset.labels never enter. The returned vector is the hidden layer's
-    weight matrix (row-major) followed by its bias.
-    """
-    w1, b1, _, _, _, _ = _train_pseudo_task(dataset, cfg)
-    tag = make_tag("encoder", **{"in": dataset.feature_dim, "hidden": w1.shape[1]})
+    tag = make_tag("encoder", **{"in": d, "hidden": h})
     return WeightVector(np.concatenate([w1.ravel(), b1]), tag)
-
-
-def pseudo_task_training_accuracy(dataset: Dataset, cfg: TrainConfig) -> float:
-    """Accuracy of the full pretraining network on its own pseudo-task data."""
-    w1, b1, w2, b2, x, y = _train_pseudo_task(dataset, cfg)
-    probs = _softmax(np.sinh(x @ w1 + b1) @ w2 + b2)
-    return accuracy(probs, y)
 
 
 def _unflatten_encoder(theta: WeightVector):

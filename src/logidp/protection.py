@@ -1,10 +1,11 @@
-"""Post-training weight protection: perturb once, answer queries.
+"""Post-training weight protection: add noise once, answer queries.
 
 protect_existing adds a single draw of calibrated noise to an already
-trained head, and predict_protected answers every query from the noisy
-copy. The clean head stays inside the ProtectedModel record purely so
-utility loss and the unprotected attack baseline can be measured against
-it; it is excluded from exported release files, as is the noise seed.
+trained head; it is the only place release noise is added. predict_protected
+answers every query from the noisy copy. The clean head stays inside the
+ProtectedModel record purely so utility loss and the unprotected attack
+baseline can be measured against it; it is excluded from exported release
+files, as is the noise seed.
 """
 
 from __future__ import annotations
@@ -63,12 +64,16 @@ def _check_compatible(theta: WeightVector, omega: WeightVector) -> None:
 
 
 def protect_existing(theta: WeightVector, omega: WeightVector, spec: MechanismSpec, noise_seed: int) -> ProtectedModel:
-    """Perturb an already-trained head; nothing is retrained.
+    """Add the spec's noise to an already-trained head; nothing is retrained.
 
-    Changing spec.scale and calling again re-protects the same weights at a
-    new budget without another training run.
+    This is the one place release noise is added. Changing spec.scale and
+    calling again re-protects the same weights at a new budget without
+    another training run. A non-finite head raises ValueError, so it never
+    reaches a release.
     """
     _check_compatible(theta, omega)
+    if not np.all(np.isfinite(omega.values)):
+        raise ValueError("head weights must be finite")
     noisy = WeightVector(omega.values + noise_vector(spec, noise_seed, len(omega)), omega.shape_tag)
     return ProtectedModel(theta, omega, noisy, spec, noise_seed)
 

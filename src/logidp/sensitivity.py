@@ -42,6 +42,8 @@ class SensitivityEstimate:
             raise ValueError(f"m must be positive, got {self.m}")
         if len(norms) != self.m:
             raise ValueError(f"expected {self.m} per-pair norms, got {len(norms)}")
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("per-pair norms must be finite")
         if any(l1 < 0 or l2 < 0 for l1, l2 in norms):
             raise ValueError("per-pair norms must be nonnegative")
         if any(l2 > l1 * (1 + 1e-12) + 1e-300 for l1, l2 in norms):

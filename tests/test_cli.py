@@ -265,6 +265,16 @@ class TestReport:
                      "--out", str(tmp_path / "out.csv")])
         assert code == 1
 
+    def test_nonfinite_sensitivity_rejected(self, report_json, tmp_path, capsys):
+        doc = json.loads(report_json.read_text())
+        doc["sensitivity"]["per_pair_norms"][-1] = [float("nan"), float("nan")]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main(["report", "--in", str(bad), "--out", str(out)]) == 1
+        assert "per-pair norms must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSharedStages:
     """Every command reuses the sweep's stages, so their outputs agree."""

@@ -20,7 +20,6 @@ from logidp.experiments import (
     config_from_json_dict,
     config_to_json_dict,
     emit_report,
-    halving_epsilon_grid,
     load_report,
     run_sweep,
     trend_statistics,
@@ -66,25 +65,6 @@ class TestUtilityLoss:
     def test_zero_baseline_error(self):
         with pytest.raises(ValueError):
             utility_loss(0.1, 0.0)
-
-
-class TestHalvingGrid:
-    def test_paper_shaped_grid(self):
-        grid = halving_epsilon_grid(0.017492)
-        assert len(grid) == 9
-        assert grid[0] == pytest.approx(3.4984, rel=1e-12)
-        assert grid[-1] == pytest.approx(0.013665625, rel=1e-12)
-
-    def test_each_point_is_half_the_previous(self):
-        grid = halving_epsilon_grid(1.7, anchor_scale=0.01, points=6)
-        for a, b in zip(grid, grid[1:]):
-            assert b == pytest.approx(a / 2, rel=1e-15)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            halving_epsilon_grid(0.0)
-        with pytest.raises(ValueError):
-            halving_epsilon_grid(1.0, points=0)
 
 
 class TestSweepConfigValidation:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from logidp.pipeline import (
     Dataset,
     PSEUDO_TASK_CLASSES,
-    Record,
     TrainConfig,
     _STREAM_INIT,
     _cross_entropy,
@@ -28,7 +27,6 @@ from logidp.pipeline import (
     predict,
     predict_from_representations,
     pretrain_encoder,
-    pseudo_task_training_accuracy,
     save_dataset_csv,
 )
 from logidp.rng import RngStream
@@ -72,8 +70,8 @@ def reference_finetune_head(theta, dataset, cfg):
     return w.ravel(), np.array(losses)
 
 
-def reference_pretrain(dataset, cfg) -> np.ndarray:
-    """The encoder values pretrain_encoder returns: w1 row-major, then b1."""
+def reference_pseudo_task_network(dataset, cfg):
+    """The full pretraining network (w1, b1, w2, b2) and its task data (x, y)."""
     d, h, k = dataset.feature_dim, cfg.hidden_dims[0], PSEUDO_TASK_CLASSES
     x, y = _pseudo_task_data(dataset, cfg.seed)
     init = RngStream(cfg.seed, _STREAM_INIT)
@@ -95,6 +93,12 @@ def reference_pretrain(dataset, cfg) -> np.ndarray:
         b2 -= lr * g.sum(axis=0)
         w1 -= lr * (x.T @ d_hidden + wd * w1)
         b1 -= lr * d_hidden.sum(axis=0)
+    return w1, b1, w2, b2, x, y
+
+
+def reference_pretrain(dataset, cfg) -> np.ndarray:
+    """The encoder values pretrain_encoder returns: w1 row-major, then b1."""
+    w1, b1, *_ = reference_pseudo_task_network(dataset, cfg)
     return np.concatenate([w1.ravel(), b1])
 
 
@@ -116,7 +120,6 @@ class TestDataset:
     def test_basic_shape(self):
         d = Dataset(np.zeros((3, 4)), [0, 1, 0], 2)
         assert len(d) == 3 and d.feature_dim == 4
-        assert d.record(1) == Record(pytest.approx([0, 0, 0, 0]), 1)
 
     def test_arrays_are_read_only(self):
         d = Dataset(np.zeros((2, 2)), [0, 0], 1)
@@ -144,13 +147,6 @@ class TestDataset:
     def test_subset_keeps_requested_order(self):
         d = Dataset(np.arange(6.0).reshape(3, 2), [0, 1, 2], 3)
         assert d.subset([2, 0]).labels.tolist() == [2, 0]
-
-    def test_from_records_round_trip(self):
-        recs = [Record(np.array([1.0, 2.0]), 0), Record(np.array([3.0, 4.0]), 1)]
-        d = Dataset.from_records(recs, 2)
-        assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        with pytest.raises(ValueError):
-            Dataset.from_records([], 2)
 
 
 class TestSyntheticData:
@@ -208,7 +204,9 @@ class TestTrainConfig:
 class TestPretraining:
     def test_beats_chance_on_pseudo_task(self, ten_class):
         cfg = TrainConfig(hidden_dims=(8,), epochs=200, learning_rate=0.5, seed=11)
-        acc = pseudo_task_training_accuracy(ten_class, cfg)
+        w1, b1, w2, b2, x, y = reference_pseudo_task_network(ten_class, cfg)
+        assert pretrain_encoder(ten_class, cfg).values.tobytes() == np.concatenate([w1.ravel(), b1]).tobytes()
+        acc = accuracy(reference_softmax(np.sinh(x @ w1 + b1) @ w2 + b2), y)
         assert acc > 1.0 / PSEUDO_TASK_CLASSES
         assert acc > 0.5
 

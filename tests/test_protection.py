@@ -1,9 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from logidp.mechanisms import MechanismKind, MechanismSpec, NormKind, Sensitivity
+from logidp.mechanisms import MechanismKind, MechanismSpec, NormKind, Sensitivity, sample_noise
 from logidp.pipeline import TrainConfig, make_synthetic_dataset, pretrain_encoder, finetune_head, predict
 from logidp.protection import (
     ProtectedModel,
@@ -13,7 +16,8 @@ from logidp.protection import (
     predict_protected,
     protect_existing,
 )
-from logidp.weights import WeightVector
+from logidp.rng import RngStream
+from logidp.weights import WeightVector, load_weights, save_weights
 
 LOG = MechanismSpec(MechanismKind.LOGISTIC, 0.5)
 
@@ -37,6 +41,11 @@ class TestProtectExisting:
         assert np.array_equal(model.omega_noisy.values, replay)
         recovered = model.omega_noisy.values - model.omega_clean.values
         assert np.allclose(recovered, noise_vector(LOG, 99, len(omega)), rtol=1e-12, atol=1e-15)
+        # the noise is the mechanism's own location-0 draw; an empty draw is empty
+        assert np.array_equal(noise_vector(LOG, 99, len(omega)), sample_noise(LOG, RngStream(99, 0), len(omega)))
+        assert noise_vector(LOG, 99, 0).shape == (0,)
+        spec, n = MechanismSpec(MechanismKind.LOGISTIC, 0.3), 10_000
+        assert abs(noise_vector(spec, 12, n).mean()) < 5 * spec.scale * np.pi / np.sqrt(3 * n)
 
     def test_different_seed_changes_only_noisy(self, small):
         *_, theta, omega = small
@@ -51,11 +60,25 @@ class TestProtectExisting:
                      MechanismSpec(MechanismKind.GAUSSIAN, 0.7, delta=1e-5)):
             model = protect_existing(theta, omega, spec, 5)
             assert model.spec == spec
+            assert len(model.omega_noisy) == len(omega)
 
     def test_theta_untouched(self, small):
         *_, theta, omega = small
+        before = omega.values.copy()
         model = protect_existing(theta, omega, LOG, 3)
         assert model.theta == theta
+        assert np.array_equal(omega.values, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_head_never_reaches_a_release(self, small, tmp_path, bad):
+        *_, theta, omega = small
+        values = omega.values.copy()
+        values[2] = bad
+        broken = WeightVector(values, omega.shape_tag)
+        with pytest.raises(ValueError, match="head weights must be finite"):
+            model = protect_existing(theta, broken, LOG, 6)
+            export_protected_model(model, tmp_path / "release")
+        assert list(tmp_path.iterdir()) == []
 
     def test_reprotection_starts_from_clean(self, small):
         *_, theta, omega = small
@@ -95,6 +118,8 @@ class TestQueryHandler:
         data, _, _, theta, omega = small
         tiny = MechanismSpec(MechanismKind.LOGISTIC, 1e-12)
         model = protect_existing(theta, omega, tiny, 11)
+        # tail mass beyond 1e-9 at scale 1e-12 is ~2 exp(-1000) per coordinate
+        assert np.abs(model.omega_noisy.values - omega.values).max() < 1e-9
         for q in data.features[:20]:
             assert np.abs(predict_protected(model, q) - predict(theta, omega, q)).max() < 1e-6
 
@@ -190,3 +215,21 @@ class TestExport:
         spec = MechanismSpec(MechanismKind(sidecar["kind"]), sidecar["scale"], sidecar["delta"])
         replay = omega.values + noise_vector(spec, model.noise_seed, len(omega))
         assert np.array_equal(got_omega.values, replay)
+
+
+class TestWeightFiles:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=64),
+        tag=st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=40),
+    )
+    @example(values=[-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308], tag="head:in=4,classes=3")
+    @example(values=[], tag="")
+    def test_round_trip_is_byte_exact(self, values, tag):
+        w = WeightVector(np.array(values, dtype=np.float64), tag)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.bin"
+            save_weights(w, path)
+            back = load_weights(path)
+        assert back.shape_tag == tag
+        assert back.values.tobytes() == w.values.tobytes()

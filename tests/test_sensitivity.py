@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logidp.pipeline import Dataset, TrainConfig, make_synthetic_dataset, pretrain_encoder
 from logidp.sensitivity import (
@@ -62,6 +65,20 @@ class TestEstimateType:
     def test_rejects_wrong_pair_count(self):
         with pytest.raises(ValueError):
             SensitivityEstimate(1.0, 1.0, 3, 0, ((1.0, 1.0),))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_norms(self, bad):
+        # a non-finite pair anywhere must not hide behind a finite max
+        with pytest.raises(ValueError, match="must be finite"):
+            SensitivityEstimate(1.0, 0.5, 2, 0, ((1.0, 0.5), (bad, bad)))
+        with pytest.raises(ValueError, match="must be finite"):
+            SensitivityEstimate(1.0, 0.5, 2, 0, ((bad, bad), (1.0, 0.5)))
+        with pytest.raises(ValueError, match="must be finite"):
+            SensitivityEstimate(1.0, 0.5, 2, 0, ((1.0, 0.5), (0.5, bad)))
+        # JSON reads NaN and Infinity, so a saved estimate is checked the same way
+        doc = {"delta_l1": 1.0, "delta_l2": 0.5, "m": 2, "seed": 0, "per_pair_norms": [[1.0, 0.5], [bad, bad]]}
+        with pytest.raises(ValueError, match="must be finite"):
+            estimate_from_json_dict(json.loads(json.dumps(doc)))
 
     def test_accepts_consistent_values(self):
         est = SensitivityEstimate(3.0, 2.0, 2, 7, ((3.0, 2.0), (1.0, 1.0)))
@@ -196,9 +213,19 @@ class TestSerialization:
         save_estimate(est, path)
         assert load_estimate(path) == est
 
-    def test_dict_round_trip(self):
-        est = SensitivityEstimate(2.0, 1.5, 2, 3, ((2.0, 1.5), (0.25, 0.25)))
-        assert estimate_from_json_dict(estimate_to_json_dict(est)) == est
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.floats(0.0, 1e308), st.floats(0.0, 1e308)), min_size=1, max_size=20),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_dict_round_trip(self, pairs, seed):
+        norms = tuple((max(a, b), min(a, b)) for a, b in pairs)
+        est = SensitivityEstimate(
+            max(l1 for l1, _ in norms), max(l2 for _, l2 in norms), len(norms), seed, norms
+        )
+        back = estimate_from_json_dict(json.loads(json.dumps(estimate_to_json_dict(est))))
+        assert back == est
+        assert np.array(back.per_pair_norms).tobytes() == np.array(norms).tobytes()
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
