@@ -12,7 +12,6 @@ from logidp.experiments import (
     SweepRow,
     AveragedRow,
     SyntheticDataSpec,
-    halving_epsilon_grid,
     trend_statistics,
 )
 from logidp.mechanisms import (
@@ -23,13 +22,14 @@ from logidp.mechanisms import (
     scale_for_budget,
 )
 from logidp.pipeline import TrainConfig
-from logidp.reference import (
+from paper_reference import (
     BENCHMARKS,
     BenchmarkCurve,
     CIFAR10,
     CIFAR100,
     STL10,
     benchmark,
+    halving_epsilon_grid,
 )
 
 ALL = (CIFAR10, CIFAR100, STL10)
