@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.stats import spearmanr
@@ -50,8 +51,7 @@ from .protection import protect_existing
 from .rng import derive_seed
 from .sensitivity import (
     SensitivityEstimate,
-    estimate_from_json_dict,
-    estimate_to_json_dict,
+    _from_json_dict,
     sample_sensitivity,
 )
 from .weights import WeightVector
@@ -224,6 +224,9 @@ class AveragedRow:
     utility_loss: float
     mia_accuracy: float
     repeats: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "mechanism", MechanismKind(self.mechanism))
 
 
 @dataclass(frozen=True)
@@ -408,149 +411,58 @@ def trend_statistics(report: SweepReport) -> dict[MechanismKind, TrendStats]:
 
 
 # --- serialization ---------------------------------------------------------
+# Each dataclass is its own JSON schema: dataclasses.asdict writes it and
+# _from_json_dict reads it back through its constructor. A tagged union is a
+# (tag key, {tag: class}) pair.
 
-def _train_config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "hidden_dims": list(cfg.hidden_dims),
-        "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate,
-        "seed": cfg.seed,
-        "init_scale": cfg.init_scale,
-        "weight_decay": cfg.weight_decay,
-    }
+_DATASET = ("type", {"synthetic": SyntheticDataSpec, "csv": CsvDataSpec})
+_SOURCE = ("kind", {"sampled": SampledSensitivity, "fixed": FixedSensitivity})
+_ESTIMATE = ("kind", {"sampled": SensitivityEstimate, "fixed": FixedSensitivity})
 
 
-def _train_config_from_dict(obj: dict) -> TrainConfig:
-    return TrainConfig(
-        hidden_dims=tuple(obj.get("hidden_dims", ())),
-        epochs=int(obj["epochs"]),
-        learning_rate=float(obj["learning_rate"]),
-        seed=int(obj["seed"]),
-        init_scale=float(obj.get("init_scale", 0.01)),
-        weight_decay=float(obj.get("weight_decay", 0.0)),
-    )
+def _to_tagged(union, obj) -> dict:
+    key, table = union
+    return {key: next(t for t, cls in table.items() if type(obj) is cls), **dataclasses.asdict(obj)}
+
+
+def _from_tagged(union, obj):
+    key, table = union
+    tag = obj.get(key) if isinstance(obj, dict) else None
+    if tag not in table:
+        raise ValueError(f"{key} must be one of {', '.join(table)}, got {tag!r}")
+    return _from_json_dict(table[tag], {k: v for k, v in obj.items() if k != key})
 
 
 def config_to_json_dict(cfg: SweepConfig) -> dict:
-    if isinstance(cfg.dataset, SyntheticDataSpec):
-        dataset = {"type": "synthetic", **dataclasses.asdict(cfg.dataset)}
-    else:
-        dataset = {"type": "csv", **dataclasses.asdict(cfg.dataset)}
-    if isinstance(cfg.sensitivity, SampledSensitivity):
-        sensitivity = {"kind": "sampled", "m": cfg.sensitivity.m, "seed": cfg.sensitivity.seed}
-    else:
-        sensitivity = {"kind": "fixed", "value": cfg.sensitivity.value,
-                       "norm": cfg.sensitivity.norm.value}
-    out = {
-        "dataset": dataset,
-        "pretrain": _train_config_to_dict(cfg.pretrain),
-        "finetune": _train_config_to_dict(cfg.finetune),
-        "mechanisms": [m.value for m in cfg.mechanisms],
-        "sensitivity": sensitivity,
-        "attack": dataclasses.asdict(cfg.attack),
-        "delta": cfg.delta,
-        "repeats_per_point": cfg.repeats_per_point,
-        "master_seed": cfg.master_seed,
-    }
-    if cfg.epsilon_grid is not None:
-        out["epsilon_grid"] = list(cfg.epsilon_grid)
-    else:
-        out["scale_grid"] = list(cfg.scale_grid)
-    return out
+    # the unused grid is None and is left out
+    out = {k: v for k, v in dataclasses.asdict(cfg).items() if v is not None}
+    return {**out, "dataset": _to_tagged(_DATASET, cfg.dataset),
+            "sensitivity": _to_tagged(_SOURCE, cfg.sensitivity)}
 
 
 def config_from_json_dict(obj: dict) -> SweepConfig:
-    dataset_obj = dict(obj["dataset"])
-    dataset_type = dataset_obj.pop("type")
-    if dataset_type == "synthetic":
-        dataset = SyntheticDataSpec(**dataset_obj)
-    elif dataset_type == "csv":
-        dataset = CsvDataSpec(**dataset_obj)
-    else:
-        raise ValueError(f"unknown dataset type {dataset_type!r}")
-    sens_obj = dict(obj["sensitivity"])
-    sens_kind = sens_obj.pop("kind")
-    if sens_kind == "sampled":
-        sensitivity = SampledSensitivity(**sens_obj)
-    elif sens_kind == "fixed":
-        sensitivity = FixedSensitivity(float(sens_obj["value"]), NormKind(sens_obj["norm"]))
-    else:
-        raise ValueError(f"unknown sensitivity kind {sens_kind!r}")
-    return SweepConfig(
-        dataset=dataset,
-        pretrain=_train_config_from_dict(obj["pretrain"]),
-        finetune=_train_config_from_dict(obj["finetune"]),
-        mechanisms=tuple(MechanismKind(m) for m in obj["mechanisms"]),
-        sensitivity=sensitivity,
-        attack=AttackClassifierConfig(**obj["attack"]),
-        master_seed=int(obj["master_seed"]),
-        epsilon_grid=tuple(obj["epsilon_grid"]) if "epsilon_grid" in obj else None,
-        scale_grid=tuple(obj["scale_grid"]) if "scale_grid" in obj else None,
-        delta=float(obj.get("delta", 1e-5)),
-        repeats_per_point=int(obj.get("repeats_per_point", 5)),
+    return _from_json_dict(
+        SweepConfig, obj,
+        dataset=partial(_from_tagged, _DATASET),
+        pretrain=partial(_from_json_dict, TrainConfig),
+        finetune=partial(_from_json_dict, TrainConfig),
+        sensitivity=partial(_from_tagged, _SOURCE),
+        attack=partial(_from_json_dict, AttackClassifierConfig),
     )
-
-
-def _row_to_dict(row: SweepRow) -> dict:
-    return {
-        "mechanism": row.mechanism.value,
-        "epsilon": row.epsilon,
-        "scale": row.scale,
-        "utility_loss": row.utility_loss,
-        "mia_accuracy": row.mia_accuracy,
-        "repeat_index": row.repeat_index,
-    }
-
-
-def _averaged_to_dict(row: AveragedRow) -> dict:
-    return {
-        "mechanism": row.mechanism.value,
-        "epsilon": row.epsilon,
-        "scale": row.scale,
-        "utility_loss": row.utility_loss,
-        "mia_accuracy": row.mia_accuracy,
-        "repeats": row.repeats,
-    }
 
 
 def report_to_json_dict(report: SweepReport) -> dict:
-    if isinstance(report.sensitivity, FixedSensitivity):
-        sensitivity = {"kind": "fixed", "value": report.sensitivity.value,
-                       "norm": report.sensitivity.norm.value}
-    else:
-        sensitivity = {"kind": "sampled", **estimate_to_json_dict(report.sensitivity)}
-    return {
-        "config": config_to_json_dict(report.config),
-        "sensitivity": sensitivity,
-        "unprotected_baseline": dict(report.unprotected_baseline),
-        "rows": [_row_to_dict(r) for r in report.rows],
-        "averaged": [_averaged_to_dict(r) for r in report.averaged],
-    }
+    return {**dataclasses.asdict(report), "config": config_to_json_dict(report.config),
+            "sensitivity": _to_tagged(_ESTIMATE, report.sensitivity)}
 
 
 def report_from_json_dict(obj: dict) -> SweepReport:
-    sens_obj = dict(obj["sensitivity"])
-    kind = sens_obj.pop("kind")
-    if kind == "fixed":
-        sensitivity = FixedSensitivity(float(sens_obj["value"]), NormKind(sens_obj["norm"]))
-    else:
-        sensitivity = estimate_from_json_dict(sens_obj)
-    rows = tuple(
-        SweepRow(MechanismKind(r["mechanism"]), r["epsilon"], r["scale"],
-                 r["utility_loss"], r["mia_accuracy"], r["repeat_index"])
-        for r in obj["rows"]
-    )
-    averaged = tuple(
-        AveragedRow(MechanismKind(r["mechanism"]), r["epsilon"], r["scale"],
-                    r["utility_loss"], r["mia_accuracy"], r["repeats"])
-        for r in obj["averaged"]
-    )
-    return SweepReport(
-        rows=rows,
-        averaged=averaged,
-        sensitivity=sensitivity,
-        config=config_from_json_dict(obj["config"]),
-        unprotected_baseline=dict(obj["unprotected_baseline"]),
+    return _from_json_dict(
+        SweepReport, obj,
+        rows=lambda rows: tuple(_from_json_dict(SweepRow, r) for r in rows),
+        averaged=lambda rows: tuple(_from_json_dict(AveragedRow, r) for r in rows),
+        sensitivity=partial(_from_tagged, _ESTIMATE),
+        config=config_from_json_dict,
     )
 
 
@@ -558,12 +470,12 @@ _CSV_FLOATS = ("epsilon", "scale", "utility_loss", "mia_accuracy")
 
 
 def _csv_text(count_column: str, rows) -> str:
-    """Header plus one line per row dict: mechanism, the float columns as
+    """Header plus one line per row: mechanism, the float columns as
     repr so the text round-trips exactly, then the integer count column."""
     lines = [",".join(("mechanism", *_CSV_FLOATS, count_column))]
     for row in rows:
-        floats = (repr(float(row[c])) for c in _CSV_FLOATS)
-        lines.append(",".join((row["mechanism"], *floats, str(row[count_column]))))
+        floats = (repr(float(getattr(row, c))) for c in _CSV_FLOATS)
+        lines.append(",".join((row.mechanism.value, *floats, str(getattr(row, count_column)))))
     return "\n".join(lines) + "\n"
 
 
@@ -578,7 +490,7 @@ def _ordered_rows(report: SweepReport):
 def emit_report(report: SweepReport, path, format: str = "csv") -> None:
     """CSV: header plus one deterministic line per row; JSON: full report."""
     if format == "csv":
-        text = _csv_text("repeat_index", map(_row_to_dict, _ordered_rows(report)))
+        text = _csv_text("repeat_index", _ordered_rows(report))
     elif format == "json":
         text = json.dumps(report_to_json_dict(report), indent=2, sort_keys=True) + "\n"
     else:
@@ -590,7 +502,7 @@ def emit_report(report: SweepReport, path, format: str = "csv") -> None:
 def emit_averaged(report: SweepReport, path) -> None:
     """CSV of the repeat-averaged rows, in report order."""
     with open(path, "w") as fh:
-        fh.write(_csv_text("repeats", map(_averaged_to_dict, report.averaged)))
+        fh.write(_csv_text("repeats", report.averaged))
 
 
 def load_report(path) -> SweepReport:

@@ -390,7 +390,8 @@ def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig) -> We
     from a seeded uniform init; the encoder is read, never written.
     cfg.weight_decay adds the usual L2 pull on every step (head_loss and
     head_loss_gradient report the cross-entropy term alone).
-    learning_rate 0 returns the initialization exactly.
+    learning_rate 0 returns the initialization exactly. A non-finite head
+    (encoder overflow or divergence) raises ValueError.
     """
     omega, _ = _finetune_head_traced(theta, dataset, cfg, trace=False)
     return omega
@@ -424,6 +425,8 @@ def _finetune_head_traced(theta: WeightVector, dataset: Dataset, cfg: TrainConfi
         z -= yy_t
         z /= n
         w -= lr * (reps.T @ z.T + wd * w)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("fine-tuned head is not finite; the encoder overflowed or training diverged")
     if trace:
         losses.append(_cross_entropy(np.matmul(w.T, reps_t, out=z), dataset.labels))
     omega = WeightVector(w.ravel(), _head_tag(hidden, c))

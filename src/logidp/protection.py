@@ -10,6 +10,7 @@ files, as is the noise seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -94,11 +95,7 @@ def export_protected_model(model: ProtectedModel, base_path, sensitivity: Sensit
     base = str(base_path)
     save_weights(model.theta, base + ".theta.bin")
     save_weights(model.omega_noisy, base + ".omega.bin")
-    sidecar = {
-        "kind": model.spec.kind.value,
-        "scale": model.spec.scale,
-        "delta": model.spec.delta,
-    }
+    sidecar = dataclasses.asdict(model.spec)
     if sensitivity is not None:
         sidecar["epsilon"] = budget_for_scale(model.spec, sensitivity).epsilon
     with open(base + ".json", "w") as fh:

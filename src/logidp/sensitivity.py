@@ -9,6 +9,7 @@ therefore yields exactly zero.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +20,7 @@ from .pipeline import Dataset, TrainConfig, finetune_head
 from .rng import RngStream
 from .weights import WeightVector
 
-# Training cost of an exhaustive pass grows as |d| squared.
+# An exhaustive pass costs n fits, one per record, but keeps n^2 pair rows.
 BRUTE_FORCE_MAX_RECORDS = 12
 
 TrainerFn = Callable[[Dataset], WeightVector]
@@ -128,8 +129,9 @@ def brute_force_sensitivity(
     cfg: TrainConfig,
     trainer: TrainerFn | None = None,
 ) -> SensitivityEstimate:
-    """Exact max over all ordered leave-one-out pairs; |d|^2 pairs, so
-    guarded to small datasets. The recorded seed is 0 (nothing is sampled)."""
+    """Exact max over all ordered leave-one-out pairs: |d| fits, one per
+    dropped record, but |d|^2 pair norms are kept, hence the size guard.
+    The recorded seed is 0 (nothing is sampled)."""
     n = len(d)
     if n < 2:
         raise ValueError(f"need at least 2 records, got {n}")
@@ -142,27 +144,34 @@ def brute_force_sensitivity(
     return _finish(_pair_norms(d, pairs, trainer), n * n, 0)
 
 
+def _from_json_dict(cls, obj, **blocks):
+    """cls(**obj), so the constructor's own checks validate every document
+    read. blocks maps a field to the reader of its nested block. A missing
+    or unknown key raises ValueError naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"{cls.__name__} has no field {unknown[0]!r}")
+    for f in fields:
+        if f.name not in obj and f.default is f.default_factory is dataclasses.MISSING:
+            raise ValueError(f"{cls.__name__} is missing field {f.name!r}")
+    values = {}
+    for name, value in obj.items():
+        try:
+            values[name] = blocks[name](value) if name in blocks else value
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return cls(**values)
+
+
 def estimate_to_json_dict(est: SensitivityEstimate) -> dict:
-    return {
-        "delta_l1": est.delta_l1,
-        "delta_l2": est.delta_l2,
-        "m": est.m,
-        "seed": est.seed,
-        "per_pair_norms": [[l1, l2] for l1, l2 in est.per_pair_norms],
-    }
+    return dataclasses.asdict(est)
 
 
 def estimate_from_json_dict(obj: dict) -> SensitivityEstimate:
-    try:
-        return SensitivityEstimate(
-            delta_l1=float(obj["delta_l1"]),
-            delta_l2=float(obj["delta_l2"]),
-            m=int(obj["m"]),
-            seed=int(obj["seed"]),
-            per_pair_norms=tuple((float(l1), float(l2)) for l1, l2 in obj["per_pair_norms"]),
-        )
-    except KeyError as missing:
-        raise ValueError(f"sensitivity document is missing field {missing}") from None
+    return _from_json_dict(SensitivityEstimate, obj)
 
 
 def save_estimate(est: SensitivityEstimate, path) -> None:

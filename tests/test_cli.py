@@ -234,6 +234,16 @@ class TestSweep:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_block_is_named(self, tmp_path, capsys):
+        doc = config_to_json_dict(small_config())
+        del doc["dataset"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "error: SweepConfig is missing field 'dataset'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def report_json(config_path, tmp_path_factory):

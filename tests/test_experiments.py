@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logidp.mechanisms import MechanismKind, MechanismSpec, NormKind, Sensitivity, budget_for_scale
 from logidp.mia import AttackClassifierConfig
@@ -19,8 +20,11 @@ from logidp.experiments import (
     SyntheticDataSpec,
     config_from_json_dict,
     config_to_json_dict,
+    emit_averaged,
     emit_report,
     load_report,
+    report_from_json_dict,
+    report_to_json_dict,
     run_sweep,
     trend_statistics,
     utility_loss,
@@ -45,6 +49,55 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+u64 = st.integers(0, 2**64 - 1)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def synthetic_specs(draw):
+    num_classes, per_class = draw(st.integers(1, 6)), draw(st.integers(5, 40))
+    most = num_classes * per_class // 5
+    counts = draw(st.lists(st.integers(1, most), min_size=5, max_size=5))
+    return SyntheticDataSpec(num_classes, per_class, draw(st.integers(1, 16)), draw(finite),
+                             draw(u64), *counts)
+
+
+@st.composite
+def sweep_configs(draw):
+    train = st.builds(
+        TrainConfig, hidden_dims=st.lists(st.integers(1, 64), max_size=3).map(tuple),
+        epochs=st.integers(0, 10**6), learning_rate=nonnegative, seed=u64,
+        init_scale=positive, weight_decay=nonnegative,
+    )
+    grid = tuple(draw(st.lists(positive, min_size=1, max_size=8, unique=True)))
+    epsilon_grid, scale_grid = (grid, None) if draw(st.booleans()) else (None, grid)
+    return SweepConfig(
+        dataset=draw(st.one_of(
+            synthetic_specs(),
+            st.builds(CsvDataSpec, *[st.text()] * 5, st.none() | st.integers(1, 100)),
+        )),
+        pretrain=draw(train),
+        finetune=draw(train),
+        mechanisms=tuple(draw(st.lists(st.sampled_from(MechanismKind), min_size=1, unique=True))),
+        sensitivity=draw(st.one_of(
+            st.builds(SampledSensitivity, st.integers(1, 10**6), u64),
+            st.builds(FixedSensitivity, positive, st.sampled_from(NormKind)),
+        )),
+        attack=draw(st.builds(
+            AttackClassifierConfig, epochs=st.integers(0, 10**5), seed=u64,
+            hidden_layers=st.integers(1, 8), hidden_width=st.integers(1, 128),
+            learning_rate=positive, train_pairs=st.integers(1, 5000).map(lambda k: 2 * k),
+        )),
+        master_seed=draw(u64),
+        epsilon_grid=epsilon_grid,
+        scale_grid=scale_grid,
+        delta=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        repeats_per_point=draw(st.integers(1, 100)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +294,24 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report(small_report, tmp_path / "x.xml", "xml")
 
+    def test_loaded_report_reemits_identical_bytes(self, small_report, tmp_path):
+        saved = tmp_path / "report.json"
+        emit_report(small_report, saved, "json")
+        loaded = load_report(saved)
+        for name, emit in (
+            ("json", lambda r, p: emit_report(r, p, "json")),
+            ("csv", lambda r, p: emit_report(r, p, "csv")),
+            ("averaged", emit_averaged),
+        ):
+            emit(small_report, tmp_path / f"direct.{name}")
+            emit(loaded, tmp_path / f"loaded.{name}")
+            assert (tmp_path / f"loaded.{name}").read_bytes() == (tmp_path / f"direct.{name}").read_bytes()
+        assert trend_statistics(loaded) == trend_statistics(small_report)
+
+    def test_averaged_row_coerces_mechanism(self):
+        row = AveragedRow("laplace", 1.0, 0.5, 0.1, 0.5, 3)
+        assert row.mechanism is MechanismKind.LAPLACE
+
 
 def handmade_report(utils, mias, mechanisms=(MechanismKind.LOGISTIC,)):
     eps = tuple(8.0 / 2**k for k in range(len(utils)))
@@ -301,3 +372,49 @@ class TestConfigSerialization:
         obj["dataset"]["type"] = "parquet"
         with pytest.raises(ValueError):
             config_from_json_dict(obj)
+
+    def test_misspelt_training_key_rejected(self):
+        obj = json.loads(json.dumps(config_to_json_dict(small_config())))
+        obj["finetune"]["weight_decy"] = 0.5
+        with pytest.raises(ValueError, match="finetune: TrainConfig has no field 'weight_decy'"):
+            config_from_json_dict(obj)
+
+    def test_misspelt_top_level_key_rejected(self):
+        obj = json.loads(json.dumps(config_to_json_dict(small_config())))
+        obj["repeats_per_pont"] = obj.pop("repeats_per_point")
+        with pytest.raises(ValueError, match="SweepConfig has no field 'repeats_per_pont'"):
+            config_from_json_dict(obj)
+
+    @pytest.mark.parametrize("block", ["dataset", "finetune", "sensitivity", "attack"])
+    def test_missing_block_rejected(self, block):
+        obj = json.loads(json.dumps(config_to_json_dict(small_config())))
+        del obj[block]
+        with pytest.raises(ValueError, match=f"SweepConfig is missing field '{block}'"):
+            config_from_json_dict(obj)
+
+    def test_omitted_training_keys_take_train_config_defaults(self):
+        obj = json.loads(json.dumps(config_to_json_dict(small_config())))
+        # FINE sets only epochs, learning_rate and seed
+        obj["finetune"] = {"epochs": 80, "learning_rate": 0.5, "seed": 2}
+        cfg = config_from_json_dict(obj)
+        assert cfg.finetune.init_scale == TrainConfig().init_scale
+        assert cfg.finetune.hidden_dims == TrainConfig().hidden_dims
+        assert cfg == small_config()
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=sweep_configs())
+    def test_round_trip_is_exact(self, cfg):
+        text = json.dumps(config_to_json_dict(cfg))
+        back = config_from_json_dict(json.loads(text))
+        assert back == cfg
+        assert json.dumps(config_to_json_dict(back)) == text
+
+    def test_report_loader_names_bad_keys(self, small_report):
+        obj = json.loads(json.dumps(report_to_json_dict(small_report)))
+        del obj["averaged"]
+        with pytest.raises(ValueError, match="SweepReport is missing field 'averaged'"):
+            report_from_json_dict(obj)
+        obj = json.loads(json.dumps(report_to_json_dict(small_report)))
+        obj["rows"][0]["repeat"] = 0
+        with pytest.raises(ValueError, match="rows: SweepRow has no field 'repeat'"):
+            report_from_json_dict(obj)

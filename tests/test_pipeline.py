@@ -1,4 +1,6 @@
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +313,16 @@ class TestFinetune:
         with pytest.raises(ValueError):
             finetune_head(theta, ten_class, TrainConfig(epochs=0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_head_raises(self):
+        # features this large overflow the sinh encoder, so every step is NaN
+        data = make_synthetic_dataset(3, 20, 6, 0.5, 17)
+        theta = pretrain_encoder(data, TrainConfig((4,), 20, 0.1, seed=1))
+        huge = Dataset(data.features * 1e4, data.labels, data.num_classes)
+        for train in (finetune_head, finetune_head_loss_history):
+            with pytest.raises(ValueError, match="head is not finite.*encoder overflowed"):
+                train(theta, huge, TrainConfig(epochs=50, seed=2))
+
     def test_loss_history_monotone_at_moderate_rate(self, trained, ten_class):
         theta, _ = trained
         hist = finetune_head_loss_history(theta, ten_class, TrainConfig(epochs=50, learning_rate=0.05, seed=5))
@@ -509,6 +521,26 @@ class TestDatasetIO:
         save_dataset_csv(d, path)
         assert load_dataset_csv(path, num_classes=4).num_classes == 4
         assert load_dataset_csv(path).num_classes == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 5)),
+        data=st.data(),
+    )
+    def test_csv_round_trip_is_byte_exact(self, shape, data):
+        n, dim = shape
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        features = np.array(data.draw(st.lists(floats, min_size=n * dim, max_size=n * dim)))
+        num_classes = data.draw(st.integers(1, 6))
+        labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+        d = Dataset(features.reshape(n, dim), labels, num_classes)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            save_dataset_csv(d, path)
+            back = load_dataset_csv(path, num_classes=num_classes)
+        assert back.features.tobytes() == d.features.tobytes()
+        assert back.labels.tobytes() == d.labels.tobytes()
+        assert back.num_classes == num_classes
 
     def test_csv_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"

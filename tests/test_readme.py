@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from logidp.cli import build_parser
+from logidp.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
@@ -15,6 +15,8 @@ CLI_LINES = [
     line for lang, code in BLOCKS if not lang
     for line in code.splitlines() if line.startswith("logidp ")
 ]
+# The sweep block writes the sweep.json that the CLI block's commands read.
+SWEEP_BLOCK = next(code for code in PYTHON_BLOCKS if "sweep.json" in code)
 
 
 @pytest.mark.parametrize("code", PYTHON_BLOCKS, ids=[f"block{i}" for i in range(len(PYTHON_BLOCKS))])
@@ -33,3 +35,13 @@ def test_examples_present():
 @pytest.mark.parametrize("line", CLI_LINES, ids=[shlex.split(line)[1] for line in CLI_LINES])
 def test_cli_line_parses(line):
     build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_cli_block_runs_in_order(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(SWEEP_BLOCK, "README.md", "exec"), {"__name__": "readme"})
+    for line in CLI_LINES:
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        out = argv[argv.index("--out") + 1]
+        assert list(tmp_path.glob(out + "*")), f"{line} wrote no {out}"
