@@ -9,6 +9,9 @@ weights; the sensitivity sampler depends on that. Softmax logits are laid out
 class-major, (classes, records), because numpy reduces a short contiguous
 class axis one record at a time but reduces across rows in a few vectorised
 passes; the class sum keeps numpy's pairwise order, so the bytes do not change.
+Leave-one-out heads train together through the same loop as a
+(heads, classes, records) stack; batched matmul makes the same BLAS call
+for each head as a fit on its own, so each head keeps its bytes.
 
 The encoder nonlinearity is sinh: odd and unbounded, it stretches the scale
 spectrum of the representations, so different records tolerate very different
@@ -196,37 +199,43 @@ _PAIRWISE_BLOCK = 128
 
 
 def _class_sum(e: np.ndarray) -> np.ndarray:
-    """Column sums of a (classes, n) array, added in the order numpy's
-    pairwise sum adds one contiguous run of classes, so that the result is
-    byte-equal to the row-major e.T.sum(axis=1): fewer than 8 classes add
-    one by one; up to a block, 8 strided accumulators combine as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the leftover classes; a
-    longer run splits at a multiple of 8 near its middle."""
-    c = e.shape[0]
+    """Sums over the class axis (-2) of a (..., classes, n) array, added in
+    the order numpy's pairwise sum adds one contiguous run of classes, so
+    that each (classes, n) slice sums byte-equal to the row-major
+    e.T.sum(axis=1): fewer than 8 classes add one by one; up to a block, 8
+    strided accumulators combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    before the leftover classes; a longer run splits at a multiple of 8
+    near its middle."""
+    c = e.shape[-2]
     if c < 8:
-        s = e[0].copy()
-        for row in e[1:]:
-            s += row
+        s = e[..., 0, :].copy()
+        for i in range(1, c):
+            s += e[..., i, :]
         return s
     if c <= _PAIRWISE_BLOCK:
         stop = c - c % 8
-        r = e[:8].copy()
-        for i in range(8, stop, 8):
-            r += e[i : i + 8]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for row in e[stop:]:
-            s += row
+        r = e[..., :8, :]
+        if stop > 8:
+            r = r.copy()
+            for i in range(8, stop, 8):
+                r += e[..., i : i + 8, :]
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+        s = r[..., 0, :] + r[..., 1, :]
+        for i in range(stop, c):
+            s += e[..., i, :]
         return s
     half = c // 2
     half -= half % 8
-    return _class_sum(e[:half]) + _class_sum(e[half:])
+    return _class_sum(e[..., :half, :]) + _class_sum(e[..., half:, :])
 
 
 def _softmax_inplace(z: np.ndarray) -> np.ndarray:
-    """Softmax over axis 0 of a contiguous (classes, n) array, in place."""
-    z -= z.max(axis=0)
+    """Softmax over the class axis (-2) of a contiguous (..., classes, n)
+    array, in place."""
+    z -= z.max(axis=-2, keepdims=True)
     np.exp(z, out=z)
-    z /= _class_sum(z)
+    z /= _class_sum(z)[..., None, :]
     return z
 
 
@@ -275,7 +284,8 @@ def pretrain_encoder(dataset: Dataset, cfg: TrainConfig) -> WeightVector:
 
     Pseudo-labels index which seeded transformation produced each input;
     dataset.labels never enter. The returned vector is the hidden layer's
-    weight matrix (row-major) followed by its bias.
+    weight matrix (row-major) followed by its bias. A non-finite encoder
+    (sinh overflow or divergence) raises ValueError.
     """
     if len(dataset) == 0:
         raise ValueError("pretraining dataset is empty")
@@ -304,8 +314,10 @@ def pretrain_encoder(dataset: Dataset, cfg: TrainConfig) -> WeightVector:
         b2 -= lr * g.sum(axis=0)
         w1 -= lr * (x.T @ d_hidden + wd * w1)
         b1 -= lr * d_hidden.sum(axis=0)
-    tag = make_tag("encoder", **{"in": d, "hidden": h})
-    return WeightVector(np.concatenate([w1.ravel(), b1]), tag)
+    values = np.concatenate([w1.ravel(), b1])
+    if not np.all(np.isfinite(values)):
+        raise ValueError("pretrained encoder is not finite; the encoder overflowed or training diverged")
+    return WeightVector(values, make_tag("encoder", **{"in": d, "hidden": h}))
 
 
 def _unflatten_encoder(theta: WeightVector):
@@ -383,7 +395,13 @@ def _head_tag(hidden: int, num_classes: int) -> str:
     return make_tag("head", **{"in": hidden, "classes": num_classes})
 
 
-def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig) -> WeightVector:
+# Leave-one-out heads are fit this many at a time: long enough stacks to
+# amortise the per-step numpy calls, short enough that the (k, classes,
+# records) arrays stay small.
+_LOO_CHUNK = 16
+
+
+def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, leave_out=None):
     """Fit the bias-free linear softmax head on encoded features.
 
     Full-batch gradient descent on mean cross-entropy for cfg.epochs steps
@@ -392,45 +410,63 @@ def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig) -> We
     head_loss_gradient report the cross-entropy term alone).
     learning_rate 0 returns the initialization exactly. A non-finite head
     (encoder overflow or divergence) raises ValueError.
+
+    With leave_out, a sequence of record indices, returns a tuple of heads
+    in that order: head j is fit on dataset without record leave_out[j],
+    byte-equal to finetune_head(theta, dataset.without_index(leave_out[j]),
+    cfg). The heads are fit together, 16 per training loop.
     """
-    omega, _ = _finetune_head_traced(theta, dataset, cfg, trace=False)
-    return omega
+    if leave_out is None:
+        return _fit_heads(theta, [dataset], cfg)[0][0]
+    indices = [int(i) for i in leave_out]
+    heads = []
+    for start in range(0, len(indices), _LOO_CHUNK):
+        subsets = [dataset.without_index(i) for i in indices[start : start + _LOO_CHUNK]]
+        heads.extend(_fit_heads(theta, subsets, cfg)[0])
+    return tuple(heads)
 
 
 def finetune_head_loss_history(theta: WeightVector, dataset: Dataset, cfg: TrainConfig) -> np.ndarray:
     """Training loss before each step plus after the last: epochs + 1 values."""
-    _, losses = _finetune_head_traced(theta, dataset, cfg, trace=True)
-    return losses
+    return _fit_heads(theta, [dataset], cfg, trace=True)[1]
 
 
-def _finetune_head_traced(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, trace: bool):
-    if len(dataset) == 0:
+def _fit_heads(theta: WeightVector, datasets, cfg: TrainConfig, trace: bool = False):
+    """The head-training loop, run on k same-size datasets at once: logits
+    are a (k, classes, records) stack and every step is one batched matmul
+    per product, so each head gets the bytes of a fit on its dataset alone.
+    Returns the k heads and, with trace, the first dataset's loss history."""
+    if len(datasets[0]) == 0:
         raise ValueError("fine-tuning dataset is empty")
     if cfg.epochs < 1:
         raise ValueError("training needs epochs >= 1")
-    reps = encode(theta, dataset.features)
-    n, hidden = reps.shape
-    c = dataset.num_classes
-    w = _head_init(hidden, c, cfg)
-    reps_t = np.ascontiguousarray(reps.T)
-    yy_t = np.ascontiguousarray(one_hot(dataset.labels, c).T)
-    z = np.empty((c, n))
+    reps = np.stack([encode(theta, d.features) for d in datasets])
+    k, n, hidden = reps.shape
+    c = datasets[0].num_classes
+    w = np.repeat(_head_init(hidden, c, cfg)[None], k, axis=0)
+    reps_t = np.ascontiguousarray(reps.swapaxes(1, 2))
+    labels = np.stack([d.labels for d in datasets])
+    # flat positions of the label entries of z, where the one-hot target is 1
+    label_at = ((np.arange(k)[:, None] * c + labels) * n + np.arange(n)).ravel()
+    z = np.empty((k, c, n))
+    # views fixed for the loop: w and z are updated in place
+    w_t, z_t, z_flat = w.swapaxes(1, 2), z.swapaxes(1, 2), z.reshape(-1)
     lr, wd = cfg.learning_rate, cfg.weight_decay
     losses = []
     for _ in range(cfg.epochs):
-        np.matmul(w.T, reps_t, out=z)
+        np.matmul(w_t, reps_t, out=z)
         if trace:
-            losses.append(_cross_entropy(z, dataset.labels))
+            losses.append(_cross_entropy(z[0], labels[0]))
         _softmax_inplace(z)
-        z -= yy_t
+        z_flat[label_at] -= 1.0
         z /= n
-        w -= lr * (reps.T @ z.T + wd * w)
+        w -= lr * (reps.swapaxes(1, 2) @ z_t + wd * w)
     if not np.all(np.isfinite(w)):
         raise ValueError("fine-tuned head is not finite; the encoder overflowed or training diverged")
     if trace:
-        losses.append(_cross_entropy(np.matmul(w.T, reps_t, out=z), dataset.labels))
-    omega = WeightVector(w.ravel(), _head_tag(hidden, c))
-    return omega, np.array(losses)
+        losses.append(_cross_entropy(np.matmul(w[0].T, reps_t[0]), labels[0]))
+    tag = _head_tag(hidden, c)
+    return [WeightVector(head.ravel(), tag) for head in w], np.array(losses)
 
 
 def head_loss(theta: WeightVector, dataset: Dataset, omega: WeightVector) -> float:

@@ -2,9 +2,10 @@
 
 The L1/L2 sensitivity of the fine-tuning step is estimated by retraining the
 head on pairs of datasets that each drop one record, with the training seed
-held fixed so the weight difference reflects data influence only. Retrained
-weights are cached per dropped index; a pair that drops the same index twice
-therefore yields exactly zero.
+held fixed so the weight difference reflects data influence only. The head
+is fit once per distinct dropped index, all of them in one batched
+finetune_head call; a pair that drops the same index twice therefore yields
+exactly zero.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .weights import WeightVector
 BRUTE_FORCE_MAX_RECORDS = 12
 
 TrainerFn = Callable[[Dataset], WeightVector]
+# fits the heads that leave out each of the given record indices, in order
+FitFn = Callable[[list[int]], Sequence[WeightVector]]
 
 
 @dataclass(frozen=True)
@@ -65,19 +68,21 @@ def sensitivity_index_pairs(n: int, m: int, seed: int) -> np.ndarray:
     return RngStream(seed, 0).indices(2 * m, n).reshape(m, 2)
 
 
-def _pair_norms(d: Dataset, pairs: np.ndarray, trainer: TrainerFn):
-    cache: dict[int, np.ndarray] = {}
-
-    def left_out(i: int) -> np.ndarray:
-        if i not in cache:
-            cache[i] = trainer(d.without_index(i)).values
-        return cache[i]
-
+def _pair_norms(pairs: np.ndarray, fit: FitFn):
+    dropped = list(dict.fromkeys(int(i) for i in pairs.ravel()))
+    heads = {i: head.values for i, head in zip(dropped, fit(dropped))}
     norms = []
     for i, j in pairs:
-        diff = left_out(int(i)) - left_out(int(j))
+        diff = heads[int(i)] - heads[int(j)]
         norms.append((float(np.abs(diff).sum()), float(np.sqrt(diff @ diff))))
     return tuple(norms)
+
+
+def _loo_fitter(theta: WeightVector, d: Dataset, cfg: TrainConfig, trainer: TrainerFn | None) -> FitFn:
+    """Batched head fine-tuning, or trainer called once per dropped index."""
+    if trainer is None:
+        return lambda dropped: finetune_head(theta, d, cfg, leave_out=dropped)
+    return lambda dropped: [trainer(d.without_index(i)) for i in dropped]
 
 
 def _finish(norms, m: int, seed: int) -> SensitivityEstimate:
@@ -118,9 +123,7 @@ def sample_sensitivity(
             raise ValueError(f"pairs must have shape ({m}, 2), got {pairs.shape}")
         if pairs.size and (pairs.min() < 0 or pairs.max() >= len(d)):
             raise ValueError("pair indices out of range")
-    if trainer is None:
-        trainer = lambda subset: finetune_head(theta, subset, cfg)
-    return _finish(_pair_norms(d, pairs, trainer), m, seed)
+    return _finish(_pair_norms(pairs, _loo_fitter(theta, d, cfg, trainer)), m, seed)
 
 
 def brute_force_sensitivity(
@@ -137,11 +140,9 @@ def brute_force_sensitivity(
         raise ValueError(f"need at least 2 records, got {n}")
     if n > BRUTE_FORCE_MAX_RECORDS:
         raise ValueError(f"brute force is limited to {BRUTE_FORCE_MAX_RECORDS} records, got {n}")
-    if trainer is None:
-        trainer = lambda subset: finetune_head(theta, subset, cfg)
     grid = np.arange(n)
     pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-    return _finish(_pair_norms(d, pairs, trainer), n * n, 0)
+    return _finish(_pair_norms(pairs, _loo_fitter(theta, d, cfg, trainer)), n * n, 0)
 
 
 def _from_json_dict(cls, obj, **blocks):

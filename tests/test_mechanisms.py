@@ -89,19 +89,22 @@ class TestBudgetConversion:
         budget = budget_for_scale(MechanismSpec(MechanismKind.GAUSSIAN, sigma, 1e-5), L2)
         assert_allclose(budget.epsilon, 1.0, rtol=1e-12)
 
-    def test_round_trip_within_one_ulp(self):
-        u = RngStream(91).uniforms(900).reshape(300, 3)
-        kinds = [MechanismKind.LOGISTIC, MechanismKind.LAPLACE, MechanismKind.GAUSSIAN]
-        for row in u:
-            kind = kinds[int(row[0] * 3)]
-            eps = 10 ** (4 * row[1] - 2)
-            value = 10 ** (4 * row[2] - 3)
-            delta = 1e-5 if kind is MechanismKind.GAUSSIAN else 0.0
-            norm = NormKind.L2 if kind is MechanismKind.GAUSSIAN else NormKind.L1
-            sens = Sensitivity(norm, value)
-            back = budget_for_scale(scale_for_budget(kind, PrivacyBudget(eps, delta), sens), sens)
-            assert abs(back.epsilon - eps) <= math.ulp(eps)
-            assert back.delta == delta
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(list(MechanismKind)),
+        # wide enough to span every scale a release uses, narrow enough that
+        # scale and sensitivity * gaussian factor stay normal floats
+        eps=st.floats(1e-100, 1e100),
+        value=st.floats(1e-100, 1e100),
+        gaussian_delta=st.floats(1e-300, 1.0, exclude_max=True),
+    )
+    def test_round_trip_within_one_ulp(self, kind, eps, value, gaussian_delta):
+        gaussian = kind is MechanismKind.GAUSSIAN
+        delta = gaussian_delta if gaussian else 0.0
+        sens = Sensitivity(NormKind.L2 if gaussian else NormKind.L1, value)
+        back = budget_for_scale(scale_for_budget(kind, PrivacyBudget(eps, delta), sens), sens)
+        assert abs(back.epsilon - eps) <= math.ulp(eps)
+        assert back.delta == delta
 
     @pytest.mark.parametrize("kind", list(MechanismKind))
     def test_scale_strictly_decreases_in_epsilon(self, kind):

@@ -11,6 +11,7 @@ from logidp.pipeline import (
     PSEUDO_TASK_CLASSES,
     TrainConfig,
     _STREAM_INIT,
+    _class_sum,
     _cross_entropy,
     _head_init,
     _pseudo_task_data,
@@ -230,6 +231,14 @@ class TestPretraining:
         with pytest.raises(ValueError):
             pretrain_encoder(empty, TrainConfig())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_encoder_raises(self):
+        # features this large overflow sinh, and every encoder weight turns NaN
+        data = make_synthetic_dataset(3, 20, 6, 0.5, 17)
+        huge = Dataset(data.features * 1e4, data.labels, data.num_classes)
+        with pytest.raises(ValueError, match="encoder is not finite.*encoder overflowed"):
+            pretrain_encoder(huge, TrainConfig((4,), 20, 0.1, seed=1))
+
     def test_ignores_true_labels(self, ten_class):
         relabeled = Dataset(ten_class.features, np.zeros(len(ten_class), dtype=np.int64), 10)
         cfg = TrainConfig(hidden_dims=(5,), epochs=10, learning_rate=0.5, seed=4)
@@ -349,15 +358,66 @@ class TestFinetune:
         assert head_loss_gradient(theta, data, omega).tobytes() == (reps.T @ g).ravel().tobytes()
 
 
+class TestLeaveOneOutHeads:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # 1-7, 8-15 and 16+ classes take the three class-sum branches; 128+
+        # split past numpy's pairwise block
+        classes=st.one_of(st.integers(1, 40), st.sampled_from([128, 129, 136])),
+        records=st.integers(2, 40),
+        weight_decay=st.sampled_from([0.0, 0.03]),
+        # one chunk of 16 heads, and one, two or three chunks with a remainder
+        count=st.sampled_from([1, 16, 17, 33]),
+        data=st.data(),
+    )
+    def test_byte_equal_to_looped_fits(self, trained, classes, records, weight_decay, count, data):
+        theta, _ = trained
+        per_class = -(-records // classes)
+        d = make_synthetic_dataset(classes, per_class, 32, 1.0, classes).subset(range(records))
+        idx = data.draw(st.lists(st.integers(0, records - 1), min_size=count, max_size=count))
+        cfg = TrainConfig(epochs=20, learning_rate=0.5, seed=5, weight_decay=weight_decay)
+        heads = finetune_head(theta, d, cfg, leave_out=idx)
+        assert isinstance(heads, tuple) and len(heads) == count
+        for i, head in zip(idx, heads):
+            alone = finetune_head(theta, d.without_index(i), cfg)
+            assert head.shape_tag == alone.shape_tag
+            assert head.values.tobytes() == alone.values.tobytes()
+
+    def test_repeated_index_gives_the_same_head(self, trained, ten_class):
+        theta, _ = trained
+        cfg = TrainConfig(epochs=30, learning_rate=0.5, seed=5, weight_decay=0.03)
+        heads = finetune_head(theta, ten_class, cfg, leave_out=[7, 499, 7, 0])
+        assert heads[0] == heads[2] and heads[0] != heads[1]
+        assert heads[1] == finetune_head(theta, ten_class.without_index(499), cfg)
+
+    def test_no_indices_fit_no_heads(self, trained, ten_class):
+        theta, _ = trained
+        assert finetune_head(theta, ten_class, TrainConfig(epochs=5), leave_out=[]) == ()
+
+    def test_errors(self, trained, ten_class):
+        theta, _ = trained
+        cfg = TrainConfig(epochs=5, seed=5)
+        for bad in ([0, len(ten_class)], [-1]):
+            with pytest.raises(IndexError, match="out of range"):
+                finetune_head(theta, ten_class, cfg, leave_out=bad)
+        # leaving out the only record leaves nothing to fit
+        with pytest.raises(ValueError, match="empty"):
+            finetune_head(theta, ten_class.subset([0]), cfg, leave_out=[0])
+        with pytest.raises(ValueError, match="epochs"):
+            finetune_head(theta, ten_class, TrainConfig(epochs=0), leave_out=[0])
+
+
 @pytest.fixture(scope="module")
 def thread_digests():
     """threads -> SHA-256 of the encoder from pretrain_encoder and from
-    reference_pretrain, then of the head from finetune_head and from
-    reference_finetune_head, each run in a fresh process at the benchmark's
-    shapes: 2000 pretraining records (8000 pseudo-task rows) through 4
-    hidden units, a 10-class head on 500 records."""
+    reference_pretrain, of the head from finetune_head and from
+    reference_finetune_head, then of 20 leave-one-out heads fit batched and
+    looped, each run in a fresh process at the benchmark's shapes: 2000
+    pretraining records (8000 pseudo-task rows) through 4 hidden units, a
+    10-class head on 500 records for 300 epochs."""
     return stdout_by_thread_count(textwrap.dedent("""
         import hashlib
+        import numpy as np
         from test_pipeline import reference_finetune_head, reference_pretrain
         from logidp.pipeline import TrainConfig, finetune_head, make_synthetic_dataset, pretrain_encoder
         full = make_synthetic_dataset(10, 250, 32, 1.0, 126)
@@ -365,9 +425,13 @@ def thread_digests():
         pre_cfg = TrainConfig(hidden_dims=(4,), epochs=50, learning_rate=0.1, init_scale=0.05, seed=101)
         tune_cfg = TrainConfig(epochs=300, learning_rate=0.5, weight_decay=0.03, seed=202)
         theta = pretrain_encoder(pre, pre_cfg)
+        dropped = range(0, 500, 26)
+        batched = finetune_head(theta, tune, tune_cfg, leave_out=dropped)
+        looped = [finetune_head(theta, tune.without_index(i), tune_cfg) for i in dropped]
         for values in (
             theta.values, reference_pretrain(pre, pre_cfg),
             finetune_head(theta, tune, tune_cfg).values, reference_finetune_head(theta, tune, tune_cfg)[0],
+            np.concatenate([h.values for h in batched]), np.concatenate([h.values for h in looped]),
         ):
             print(hashlib.sha256(values.tobytes()).hexdigest())
     """))
@@ -375,8 +439,12 @@ def thread_digests():
 
 class TestBlasThreadCounts:
     def test_matches_reference_trainers_under_each_count(self, thread_digests):
-        for threads, (encoder, ref_encoder, head, ref_head) in thread_digests.items():
+        for threads, (encoder, ref_encoder, head, ref_head, *_) in thread_digests.items():
             assert len(encoder) == 64 and encoder == ref_encoder and head == ref_head, threads
+
+    def test_batched_leave_one_out_heads_match_looped_under_each_count(self, thread_digests):
+        for threads, digests in thread_digests.items():
+            assert len(digests) == 6 and digests[4] == digests[5], threads
 
     def test_encoder_and_head_identical_across_counts(self, thread_digests):
         assert thread_digests["1"] == thread_digests["2"]
@@ -405,6 +473,21 @@ class TestClassMajorSoftmax:
         assert _softmax(logits).tobytes() == reference_softmax(logits).tobytes()
         assert logits.tobytes() == before
         assert _cross_entropy(np.ascontiguousarray(logits.T), labels) == reference_cross_entropy(logits, labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        heads=st.integers(1, 5),
+        records=st.integers(1, 300),
+        classes=st.one_of(st.integers(1, 40), st.sampled_from([128, 129, 136, 300])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_class_sum_byte_equal_to_row_major(self, heads, records, classes, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.random((heads, classes, records)) * 10.0 ** rng.uniform(-8.0, 8.0, (heads, classes, records))
+        sums = _class_sum(e)
+        assert sums.shape == (heads, records)
+        for j in range(heads):
+            assert sums[j].tobytes() == np.ascontiguousarray(e[j].T).sum(axis=1).tobytes()
 
 
 class TestPredict:

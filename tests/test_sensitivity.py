@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logidp.pipeline
+import logidp.sensitivity
 from logidp.pipeline import Dataset, TrainConfig, make_synthetic_dataset, pretrain_encoder
 from logidp.sensitivity import (
     BRUTE_FORCE_MAX_RECORDS,
@@ -177,6 +179,39 @@ class TestMonotonicityAndBounds:
         b = sample_sensitivity(theta, d, cfg, 6, 13)
         assert a == b
         assert a.per_pair_norms == b.per_pair_norms
+
+
+class TestTracedFitBoundary:
+    """The benchmark's tracer times head fits by wrapping finetune_head where
+    sensitivity looks it up; a fit reached any other way would count as the
+    sampler's own time."""
+
+    def test_every_fit_goes_through_the_module_lookup(self, small_real, monkeypatch):
+        theta, d, cfg = small_real
+        fitted, open_calls = [], []
+        traced, loop = logidp.sensitivity.finetune_head, logidp.pipeline._fit_heads
+
+        def counting(*args, **kwargs):
+            open_calls.append(None)
+            try:
+                heads = traced(*args, **kwargs)
+            finally:
+                open_calls.pop()
+            fitted.append(len(heads))
+            return heads
+
+        def guarded_loop(*args, **kwargs):
+            assert open_calls, "a head was trained outside sensitivity.finetune_head"
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(logidp.sensitivity, "finetune_head", counting)
+        monkeypatch.setattr(logidp.pipeline, "_fit_heads", guarded_loop)
+        pairs = sensitivity_index_pairs(len(d), 6, 13)
+        sample_sensitivity(theta, d, cfg, 6, 13)
+        assert fitted == [len(set(pairs.ravel().tolist()))]
+        fitted.clear()
+        brute_force_sensitivity(theta, d, cfg)
+        assert fitted == [len(d)]
 
 
 class TestErrors:
