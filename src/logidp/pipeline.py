@@ -11,7 +11,8 @@ class axis one record at a time but reduces across rows in a few vectorised
 passes; the class sum keeps numpy's pairwise order, so the bytes do not change.
 Leave-one-out heads train together through the same loop as a
 (heads, classes, records) stack; batched matmul makes the same BLAS call
-for each head as a fit on its own, so each head keeps its bytes.
+for each head as a fit on its own, so each head keeps its bytes. Stacks of
+16 heads train on one worker thread per usable CPU, in the same bytes.
 
 The encoder nonlinearity is sinh: odd and unbounded, it stretches the scale
 spectrum of the representations, so different records tolerate very different
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,6 +404,11 @@ def _head_tag(hidden: int, num_classes: int) -> str:
 _LOO_CHUNK = 16
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, leave_out=None):
     """Fit the bias-free linear softmax head on encoded features.
 
@@ -414,38 +422,59 @@ def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, leave
     With leave_out, a sequence of record indices, returns a tuple of heads
     in that order: head j is fit on dataset without record leave_out[j],
     byte-equal to finetune_head(theta, dataset.without_index(leave_out[j]),
-    cfg). The heads are fit together, 16 per training loop.
+    cfg). The heads are fit 16 per training loop, on one worker thread per
+    CPU the process may use; the bytes do not depend on the worker count.
     """
     if leave_out is None:
-        return _fit_heads(theta, [dataset], cfg)[0][0]
+        return _fit_alone(theta, dataset, cfg)[0][0]
     indices = [int(i) for i in leave_out]
-    heads = []
-    for start in range(0, len(indices), _LOO_CHUNK):
-        subsets = [dataset.without_index(i) for i in indices[start : start + _LOO_CHUNK]]
-        heads.extend(_fit_heads(theta, subsets, cfg)[0])
-    return tuple(heads)
+    for i in indices:
+        if not 0 <= i < len(dataset):
+            raise IndexError(f"record index {i} out of range")
+    if not indices:
+        return ()
+    init = _fit_start(theta, dataset, len(dataset) - 1, cfg)
+
+    def fit_chunk(chunk):
+        # encode each copy as without_index(i) lays it out, then drop it
+        reps = np.stack([encode(theta, np.delete(dataset.features, i, axis=0)) for i in chunk])
+        labels = np.stack([np.delete(dataset.labels, i) for i in chunk])
+        return _fit_heads(reps, labels, init, cfg)[0]
+
+    chunks = [indices[start : start + _LOO_CHUNK] for start in range(0, len(indices), _LOO_CHUNK)]
+    with ThreadPoolExecutor(min(len(chunks), _usable_cpus())) as pool:
+        return tuple(head for heads in pool.map(fit_chunk, chunks) for head in heads)
 
 
 def finetune_head_loss_history(theta: WeightVector, dataset: Dataset, cfg: TrainConfig) -> np.ndarray:
     """Training loss before each step plus after the last: epochs + 1 values."""
-    return _fit_heads(theta, [dataset], cfg, trace=True)[1]
+    return _fit_alone(theta, dataset, cfg, trace=True)[1]
 
 
-def _fit_heads(theta: WeightVector, datasets, cfg: TrainConfig, trace: bool = False):
-    """The head-training loop, run on k same-size datasets at once: logits
-    are a (k, classes, records) stack and every step is one batched matmul
-    per product, so each head gets the bytes of a fit on its dataset alone.
-    Returns the k heads and, with trace, the first dataset's loss history."""
-    if len(datasets[0]) == 0:
+def _fit_start(theta: WeightVector, dataset: Dataset, records: int, cfg: TrainConfig) -> np.ndarray:
+    """Checks a fit on `records` records and draws its head init."""
+    if records == 0:
         raise ValueError("fine-tuning dataset is empty")
     if cfg.epochs < 1:
         raise ValueError("training needs epochs >= 1")
-    reps = np.stack([encode(theta, d.features) for d in datasets])
+    return _head_init(_unflatten_encoder(theta)[1].size, dataset.num_classes, cfg)
+
+
+def _fit_alone(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, trace: bool = False):
+    init = _fit_start(theta, dataset, len(dataset), cfg)
+    return _fit_heads(encode(theta, dataset.features)[None], dataset.labels[None], init, cfg, trace)
+
+
+def _fit_heads(reps: np.ndarray, labels: np.ndarray, init: np.ndarray, cfg: TrainConfig, trace: bool = False):
+    """The head-training loop, run on k same-size training sets at once, given
+    as (k, records, hidden) representations, (k, records) labels and one init:
+    logits are a (k, classes, records) stack and every step is one batched
+    matmul per product, so each head gets the bytes of a fit on its set alone.
+    Returns the k heads and, with trace, the first set's loss history."""
     k, n, hidden = reps.shape
-    c = datasets[0].num_classes
-    w = np.repeat(_head_init(hidden, c, cfg)[None], k, axis=0)
+    c = init.shape[1]
+    w = np.repeat(init[None], k, axis=0)
     reps_t = np.ascontiguousarray(reps.swapaxes(1, 2))
-    labels = np.stack([d.labels for d in datasets])
     # flat positions of the label entries of z, where the one-hot target is 1
     label_at = ((np.arange(k)[:, None] * c + labels) * n + np.arange(n)).ravel()
     z = np.empty((k, c, n))

@@ -1,11 +1,13 @@
 import tempfile
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logidp.pipeline
 from logidp.pipeline import (
     Dataset,
     PSEUDO_TASK_CLASSES,
@@ -407,6 +409,76 @@ class TestLeaveOneOutHeads:
             finetune_head(theta, ten_class, TrainConfig(epochs=0), leave_out=[0])
 
 
+class TestLeaveOneOutWorkers:
+    """Leave-one-out chunks run on a thread pool sized by the usable CPUs."""
+
+    @pytest.fixture()
+    def fit_threads(self, monkeypatch):
+        """Thread ids of the head-training loops run during the test."""
+        threads, loop = [], logidp.pipeline._fit_heads
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(logidp.pipeline, "_fit_heads", recording)
+        return threads
+
+    def test_bytes_do_not_depend_on_worker_count(self, trained, ten_class, monkeypatch, fit_threads):
+        theta, _ = trained
+        cfg = TrainConfig(epochs=20, learning_rate=0.5, seed=5, weight_decay=0.03)
+        looped = tuple(finetune_head(theta, ten_class.without_index(i), cfg) for i in range(40))
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(logidp.pipeline, "_usable_cpus", lambda: cpus)
+            fit_threads.clear()
+            heads = finetune_head(theta, ten_class, cfg, leave_out=range(40))
+            assert [h.values.tobytes() for h in heads] == [h.values.tobytes() for h in looped], cpus
+            # three chunks of 16, 16 and 8 heads, each on a pool worker
+            assert len(fit_threads) == 3 and threading.get_ident() not in fit_threads
+            assert 1 <= len(set(fit_threads)) <= cpus
+
+    def test_draws_stay_on_the_calling_thread(self, trained, ten_class, monkeypatch):
+        theta, _ = trained
+        draws, uniforms = [], RngStream.uniforms
+
+        def recording(self, n):
+            draws.append(threading.get_ident())
+            return uniforms(self, n)
+
+        monkeypatch.setattr(RngStream, "uniforms", recording)
+        monkeypatch.setattr(logidp.pipeline, "_usable_cpus", lambda: 3)
+        cfg = TrainConfig(epochs=5, seed=5)
+        for _ in range(2):
+            draws.clear()
+            finetune_head(theta, ten_class, cfg, leave_out=range(40))
+            assert draws == [threading.get_ident()]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # the overflow data of TestFinetune.test_nonfinite_head_raises
+        data = make_synthetic_dataset(3, 20, 6, 0.5, 17)
+        theta = pretrain_encoder(data, TrainConfig((4,), 20, 0.1, seed=1))
+        huge = Dataset(data.features * 1e4, data.labels, data.num_classes)
+        monkeypatch.setattr(logidp.pipeline, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="fine-tuned head is not finite.*encoder overflowed"):
+            finetune_head(theta, huge, TrainConfig(epochs=50, seed=2), leave_out=range(40))
+        assert threading.active_count() == before
+
+    def test_bad_index_raises_before_any_worker(self, trained, ten_class, monkeypatch):
+        theta, _ = trained
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(logidp.pipeline, "ThreadPoolExecutor", no_pool)
+        for bad in ([*range(20), len(ten_class)], [*range(20), -1]):
+            with pytest.raises(IndexError, match="out of range"):
+                finetune_head(theta, ten_class, TrainConfig(epochs=5, seed=5), leave_out=bad)
+        with pytest.raises(ValueError, match="empty"):
+            finetune_head(theta, ten_class.subset([0]), TrainConfig(epochs=5), leave_out=[0] * 20)
+
+
 @pytest.fixture(scope="module")
 def thread_digests():
     """threads -> SHA-256 of the encoder from pretrain_encoder and from
@@ -437,6 +509,30 @@ def thread_digests():
     """))
 
 
+@pytest.fixture(scope="module")
+def concurrent_chunk_digests():
+    """threads -> SHA-256 of 40 leave-one-out heads fit in one call, three
+    chunks on two pool workers, then of the same heads fit one by one, each
+    run in a fresh process at the shapes of thread_digests."""
+    return stdout_by_thread_count(textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        import logidp.pipeline
+        from logidp.pipeline import TrainConfig, finetune_head, make_synthetic_dataset, pretrain_encoder
+        # two workers, so one runs two chunks while the other runs the third
+        logidp.pipeline._usable_cpus = lambda: 2
+        full = make_synthetic_dataset(10, 250, 32, 1.0, 126)
+        pre, tune = full.subset(range(2000)), full.subset(range(2000, 2500))
+        theta = pretrain_encoder(pre, TrainConfig(hidden_dims=(4,), epochs=50, learning_rate=0.1, init_scale=0.05, seed=101))
+        tune_cfg = TrainConfig(epochs=300, learning_rate=0.5, weight_decay=0.03, seed=202)
+        dropped = range(0, 500, 12)[:40]
+        batched = finetune_head(theta, tune, tune_cfg, leave_out=dropped)
+        looped = [finetune_head(theta, tune.without_index(i), tune_cfg) for i in dropped]
+        for heads in (batched, looped):
+            print(len(heads), hashlib.sha256(np.concatenate([h.values for h in heads]).tobytes()).hexdigest())
+    """))
+
+
 class TestBlasThreadCounts:
     def test_matches_reference_trainers_under_each_count(self, thread_digests):
         for threads, (encoder, ref_encoder, head, ref_head, *_) in thread_digests.items():
@@ -448,6 +544,11 @@ class TestBlasThreadCounts:
 
     def test_encoder_and_head_identical_across_counts(self, thread_digests):
         assert thread_digests["1"] == thread_digests["2"]
+
+    def test_concurrent_leave_one_out_chunks_match_looped_and_across_counts(self, concurrent_chunk_digests):
+        for threads, (count, batched, looped_count, looped) in concurrent_chunk_digests.items():
+            assert count == looped_count == "40" and batched == looped, threads
+        assert concurrent_chunk_digests["1"] == concurrent_chunk_digests["2"]
 
 
 class TestClassMajorSoftmax:
