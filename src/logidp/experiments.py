@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .mechanisms import (
     _REQUIRED_NORM,
@@ -132,6 +131,8 @@ class SampledSensitivity:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit in u64, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -192,13 +193,14 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SweepRow:
+class _GridPoint:
+    """One (mechanism, epsilon) measurement; the bounds every report row keeps."""
+
     mechanism: MechanismKind
     epsilon: float
     scale: float
     utility_loss: float
     mia_accuracy: float
-    repeat_index: int
 
     def __post_init__(self):
         object.__setattr__(self, "mechanism", MechanismKind(self.mechanism))
@@ -210,23 +212,28 @@ class SweepRow:
             raise ValueError(f"utility_loss must be finite and <= 1, got {self.utility_loss}")
         if not 0.0 <= self.mia_accuracy <= 1.0:
             raise ValueError(f"mia_accuracy must lie in [0, 1], got {self.mia_accuracy}")
+
+
+@dataclass(frozen=True)
+class SweepRow(_GridPoint):
+    repeat_index: int
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.repeat_index < 0:
             raise ValueError(f"repeat_index must be >= 0, got {self.repeat_index}")
 
 
 @dataclass(frozen=True)
-class AveragedRow:
+class AveragedRow(_GridPoint):
     """Repeat-mean of one (mechanism, epsilon) grid point."""
 
-    mechanism: MechanismKind
-    epsilon: float
-    scale: float
-    utility_loss: float
-    mia_accuracy: float
     repeats: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mechanism", MechanismKind(self.mechanism))
+        super().__post_init__()
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
 
 @dataclass(frozen=True)
@@ -393,11 +400,15 @@ class TrendStats:
 def _spearman(eps, values) -> tuple[float, bool]:
     if len(set(values)) == 1:
         return 0.0, True
-    return float(spearmanr(eps, values).statistic), False
+    x = np.column_stack((eps, values))
+    ranks = (x[:, None] > x).sum(1) + ((x[:, None] == x).sum(1) + 1) / 2
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0]), False
 
 
 def trend_statistics(report: SweepReport) -> dict[MechanismKind, TrendStats]:
-    """Rank correlation of epsilon against the repeat-averaged curves."""
+    """Spearman rank correlation of epsilon against the repeat-averaged
+    curves: the Pearson correlation of the ranks, tied values sharing their
+    mean rank. A constant curve gives 0.0 and is marked degenerate."""
     out = {}
     for kind in report.config.mechanisms:
         points = [a for a in report.averaged if a.mechanism is kind]

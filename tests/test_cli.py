@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,21 @@ class TestSweep:
         assert "error: SweepConfig is missing field 'dataset'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_sensitivity_seed_rejected_before_training(self, tmp_path, capsys,
+                                                                     monkeypatch, seed):
+        calls = []
+        monkeypatch.setattr("logidp.experiments.pretrain_encoder", lambda *a: calls.append(a))
+        doc = config_to_json_dict(small_config())
+        doc["sensitivity"]["seed"] = seed
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert f"error: sensitivity: seed must fit in u64, got {seed}" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def report_json(config_path, tmp_path_factory):
@@ -335,3 +352,24 @@ class TestEntryPoint:
 
     def test_parser_builds(self):
         assert build_parser().prog == "logidp"
+
+
+class TestDependencies:
+    def test_numpy_is_the_only_runtime_dependency(self):
+        # a fresh interpreter, so modules the test process already holds do not count
+        code = (
+            "import importlib, json, pkgutil, sys, logidp\n"
+            "names = [m.name for m in pkgutil.iter_modules(logidp.__path__)]\n"
+            "for name in names: importlib.import_module('logidp.' + name)\n"
+            "scipy = sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.'))\n"
+            "print(json.dumps([names, scipy]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        names, scipy = json.loads(proc.stdout)
+        assert {"cli", "experiments", "mia", "sensitivity", "pipeline", "protection",
+                "mechanisms", "noise", "rng", "weights"} <= set(names)
+        assert scipy == []
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+        assert re.findall(r'"([^"]+)"', block) == ["numpy>=1.24"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import spearmanr
 
 from logidp.mechanisms import MechanismKind, MechanismSpec, NormKind, Sensitivity, budget_for_scale
 from logidp.mia import AttackClassifierConfig
@@ -312,9 +313,20 @@ class TestEmitReport:
         row = AveragedRow("laplace", 1.0, 0.5, 0.1, 0.5, 3)
         assert row.mechanism is MechanismKind.LAPLACE
 
+    @pytest.mark.parametrize("field, value", [
+        ("utility_loss", float("nan")), ("mia_accuracy", 1.5), ("repeats", 0),
+    ])
+    def test_load_rejects_out_of_bounds_averaged_row(self, tmp_path, field, value):
+        doc = report_to_json_dict(handmade_report([0.0, 0.1, 0.2], [0.6, 0.55, 0.5]))
+        doc["averaged"][0][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"averaged: {field} must"):
+            load_report(path)
 
-def handmade_report(utils, mias, mechanisms=(MechanismKind.LOGISTIC,)):
-    eps = tuple(8.0 / 2**k for k in range(len(utils)))
+
+def handmade_report(utils, mias, mechanisms=(MechanismKind.LOGISTIC,), eps=None):
+    eps = eps or tuple(8.0 / 2**k for k in range(len(utils)))
     cfg = small_config(mechanisms=mechanisms, epsilon_grid=eps, repeats_per_point=1,
                        sensitivity=FixedSensitivity(0.5, NormKind.L1))
     rows = []
@@ -348,6 +360,25 @@ class TestTrendStatistics:
         report = handmade_report([0.1, 0.2], [0.5, 0.5])
         with pytest.raises(ValueError):
             trend_statistics(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scipy_spearman(self, data):
+        eps = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=40, unique=True))
+        # values from a small pool, so that ties are common
+        pool = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        series = [data.draw(st.lists(st.sampled_from(pool), min_size=len(eps), max_size=len(eps)))
+                  for _ in range(2)]
+        stats = trend_statistics(handmade_report(*series, eps=tuple(eps)))[MechanismKind.LOGISTIC]
+        got = [(stats.spearman_eps_vs_utility, stats.utility_degenerate),
+               (stats.spearman_eps_vs_mia, stats.mia_degenerate)]
+        for values, (rho, degenerate) in zip(series, got):
+            if len(set(values)) == 1:
+                assert (rho, degenerate) == (0.0, True)
+            else:
+                expected = spearmanr(eps, values).statistic
+                assert np.float64(rho).tobytes() == np.float64(expected).tobytes()
+                assert not degenerate
 
 
 class TestConfigSerialization:
