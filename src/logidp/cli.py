@@ -121,6 +121,8 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_report(args) -> None:
+    if args.averaged and args.format == "json":
+        raise ValueError("--averaged writes CSV only; drop --format json")
     report = load_report(args.input)
     if args.averaged:
         emit_averaged(report, args.out)
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", required=True)
     report.add_argument("--format", choices=("csv", "json"), default="csv")
     report.add_argument(
-        "--averaged", action="store_true", help="emit repeat-averaged rows instead of raw rows"
+        "--averaged", action="store_true", help="emit repeat-averaged rows as CSV instead of raw rows"
     )
     report.set_defaults(func=_cmd_report)
 

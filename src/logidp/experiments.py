@@ -15,6 +15,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -115,9 +116,10 @@ class CsvDataSpec:
             name: load_dataset_csv(getattr(self, name), num_classes=self.num_classes)
             for name in _SPLIT_NAMES
         }
-        classes = {d.num_classes for d in splits.values()}
-        if len(classes) != 1:
-            raise ValueError(f"splits disagree on num_classes: {sorted(classes)}")
+        for attr in ("num_classes", "feature_dim"):
+            widths = {getattr(d, attr) for d in splits.values()}
+            if len(widths) != 1:
+                raise ValueError(f"splits disagree on {attr}: {sorted(widths)}")
         return splits
 
 
@@ -136,25 +138,12 @@ class SampledSensitivity:
 
 
 @dataclass(frozen=True)
-class FixedSensitivity:
-    """Externally supplied sensitivity for a single norm."""
-
-    value: float
-    norm: NormKind
-
-    def __post_init__(self):
-        object.__setattr__(self, "norm", NormKind(self.norm))
-        if not (np.isfinite(self.value) and self.value > 0):
-            raise ValueError(f"sensitivity value must be positive, got {self.value}")
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     dataset: SyntheticDataSpec | CsvDataSpec
     pretrain: TrainConfig
     finetune: TrainConfig
     mechanisms: tuple[MechanismKind, ...]
-    sensitivity: SampledSensitivity | FixedSensitivity
+    sensitivity: SampledSensitivity | Sensitivity
     attack: AttackClassifierConfig
     master_seed: int
     epsilon_grid: tuple[float, ...] | None = None
@@ -239,8 +228,7 @@ class AveragedRow(_GridPoint):
 @dataclass(frozen=True)
 class SweepReport:
     rows: tuple[SweepRow, ...]
-    averaged: tuple[AveragedRow, ...]
-    sensitivity: SensitivityEstimate | FixedSensitivity
+    sensitivity: SensitivityEstimate | Sensitivity
     config: SweepConfig
     unprotected_baseline: dict
 
@@ -254,6 +242,18 @@ class SweepReport:
         base = self.unprotected_baseline
         if set(base) != {"accuracy", "mia_accuracy"}:
             raise ValueError("unprotected_baseline must carry accuracy and mia_accuracy")
+
+    @property
+    def averaged(self) -> tuple[AveragedRow, ...]:
+        """Repeat-mean of each (mechanism, epsilon) cell, in row order."""
+        cells = {}
+        for row in self.rows:
+            cells.setdefault((row.mechanism, row.epsilon), []).append(row)
+        return tuple(
+            AveragedRow(*point, cell[0].scale, float(np.mean([r.utility_loss for r in cell])),
+                        float(np.mean([r.mia_accuracy for r in cell])), len(cell))
+            for point, cell in cells.items()
+        )
 
 
 def utility_loss(protected_metric: float, unprotected_metric: float) -> float:
@@ -278,10 +278,10 @@ def train_model(cfg: SweepConfig) -> tuple[dict[str, Dataset], WeightVector, Wei
     return splits, theta, omega
 
 
-def resolve_sensitivity(cfg: SweepConfig, theta: WeightVector, splits) -> SensitivityEstimate | FixedSensitivity:
+def resolve_sensitivity(cfg: SweepConfig, theta: WeightVector, splits) -> SensitivityEstimate | Sensitivity:
     """The config's fixed sensitivity, or a leave-one-out sample over the finetune split."""
     source = cfg.sensitivity
-    if isinstance(source, FixedSensitivity):
+    if isinstance(source, Sensitivity):
         return source
     return sample_sensitivity(theta, splits["finetune"], cfg.finetune, source.m, source.seed)
 
@@ -289,13 +289,13 @@ def resolve_sensitivity(cfg: SweepConfig, theta: WeightVector, splits) -> Sensit
 def sensitivity_for(kind: MechanismKind, record) -> Sensitivity:
     """The sensitivity in the norm the mechanism calibrates against."""
     required = _REQUIRED_NORM[kind]
-    if isinstance(record, FixedSensitivity):
+    if isinstance(record, Sensitivity):
         if record.norm is not required:
             raise ValueError(
                 f"{kind.value} mechanism needs {required.value} sensitivity, "
                 f"config fixes {record.norm.value}"
             )
-        return Sensitivity(required, record.value)
+        return record
     value = record.delta_l1 if required is NormKind.L1 else record.delta_l2
     return Sensitivity(required, value)
 
@@ -362,11 +362,9 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     }
 
     rows = []
-    averaged = []
     for kind in cfg.mechanisms:
         sens = sensitivity_for(kind, sens_record)
         for eps_index, (eps, spec) in enumerate(_grid_for(cfg, kind, sens)):
-            cell = []
             for repeat in range(cfg.repeats_per_point):
                 noise_seed = derive_seed(cfg.master_seed, "noise", kind.value, eps_index, repeat)
                 model = protect_existing(theta, omega, spec, noise_seed)
@@ -377,16 +375,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                     classifier, model, splits["finetune"], holdout, 1,
                     derive_seed(cfg.master_seed, "attack-eval", kind.value, eps_index, repeat),
                 )
-                row = SweepRow(kind, eps, spec.scale, utility_loss(noisy_acc, clean_acc), mia, repeat)
-                cell.append(row)
-                rows.append(row)
-            averaged.append(AveragedRow(
-                kind, eps, spec.scale,
-                float(np.mean([r.utility_loss for r in cell])),
-                float(np.mean([r.mia_accuracy for r in cell])),
-                cfg.repeats_per_point,
-            ))
-    return SweepReport(tuple(rows), tuple(averaged), sens_record, cfg, baseline)
+                rows.append(SweepRow(kind, eps, spec.scale, utility_loss(noisy_acc, clean_acc), mia, repeat))
+    return SweepReport(tuple(rows), sens_record, cfg, baseline)
 
 
 @dataclass(frozen=True)
@@ -427,8 +417,8 @@ def trend_statistics(report: SweepReport) -> dict[MechanismKind, TrendStats]:
 # (tag key, {tag: class}) pair.
 
 _DATASET = ("type", {"synthetic": SyntheticDataSpec, "csv": CsvDataSpec})
-_SOURCE = ("kind", {"sampled": SampledSensitivity, "fixed": FixedSensitivity})
-_ESTIMATE = ("kind", {"sampled": SensitivityEstimate, "fixed": FixedSensitivity})
+_SOURCE = ("kind", {"sampled": SampledSensitivity, "fixed": Sensitivity})
+_ESTIMATE = ("kind", {"sampled": SensitivityEstimate, "fixed": Sensitivity})
 
 
 def _to_tagged(union, obj) -> dict:
@@ -464,17 +454,31 @@ def config_from_json_dict(obj: dict) -> SweepConfig:
 
 def report_to_json_dict(report: SweepReport) -> dict:
     return {**dataclasses.asdict(report), "config": config_to_json_dict(report.config),
-            "sensitivity": _to_tagged(_ESTIMATE, report.sensitivity)}
+            "sensitivity": _to_tagged(_ESTIMATE, report.sensitivity),
+            "averaged": [dataclasses.asdict(a) for a in report.averaged]}
 
 
 def report_from_json_dict(obj: dict) -> SweepReport:
-    return _from_json_dict(
-        SweepReport, obj,
+    """The report, once its stored averaged rows prove to be the means of
+    its rows; the first (mechanism, epsilon) that differs is named."""
+    if not isinstance(obj, dict) or "averaged" not in obj:
+        raise ValueError("SweepReport is missing field 'averaged'")
+    report = _from_json_dict(
+        SweepReport, {k: v for k, v in obj.items() if k != "averaged"},
         rows=lambda rows: tuple(_from_json_dict(SweepRow, r) for r in rows),
-        averaged=lambda rows: tuple(_from_json_dict(AveragedRow, r) for r in rows),
         sensitivity=partial(_from_tagged, _ESTIMATE),
         config=config_from_json_dict,
     )
+    try:
+        stored = tuple(_from_json_dict(AveragedRow, r) for r in obj["averaged"])
+    except ValueError as exc:
+        raise ValueError(f"averaged: {exc}") from None
+    for got, want in zip_longest(stored, report.averaged):
+        if got != want:
+            point = want or got
+            raise ValueError(f"averaged: row ({point.mechanism.value}, epsilon {point.epsilon!r}) "
+                             "is not the mean of its rows")
+    return report
 
 
 _CSV_FLOATS = ("epsilon", "scale", "utility_loss", "mia_accuracy")

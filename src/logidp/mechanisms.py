@@ -83,12 +83,15 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class Sensitivity:
+    """A positive sensitivity in one norm; also a sweep config's fixed source."""
+
     norm: NormKind
     value: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0):
-            raise ValueError(f"sensitivity must be nonnegative and finite, got {self.value}")
+        object.__setattr__(self, "norm", NormKind(self.norm))
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"sensitivity must be positive and finite, got {self.value}")
 
 
 def _check_pairing(kind: MechanismKind, sens: Sensitivity) -> None:
@@ -97,8 +100,6 @@ def _check_pairing(kind: MechanismKind, sens: Sensitivity) -> None:
         raise ValueError(
             f"{kind.value} mechanism requires {required.value} sensitivity, got {sens.norm.value}"
         )
-    if sens.value <= 0:
-        raise ValueError("sensitivity must be positive to calibrate a scale")
 
 
 def _gaussian_factor(delta: float) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import logistic_cdf
 from .pipeline import Dataset, encode, one_hot, predict_from_representations
 from .protection import ProtectedModel
 from .rng import RngStream
@@ -141,15 +142,6 @@ def _forward(layers, x: np.ndarray) -> np.ndarray:
     return (h @ w + b).ravel()
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _attack_inputs(theta: WeightVector, omega: WeightVector, dataset: Dataset, picks) -> np.ndarray:
     """Rows [output vector | one-hot label] of the model on dataset[picks]."""
     probs = predict_from_representations(omega, encode(theta, dataset.features[picks]))
@@ -206,7 +198,8 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
 
     Input is the concatenated (output vector, one-hot label); hidden stack is
     cfg.hidden_layers ReLU layers of cfg.hidden_width; output is one sigmoid
-    unit. Deterministic given cfg.seed. Refuses victim-tagged records.
+    unit. Deterministic given cfg.seed. Refuses victim-tagged records, and
+    raises ValueError at the first non-finite logit of a diverging run.
     """
     records = list(records)
     if not records:
@@ -243,7 +236,7 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
         w_out, b_out = layers[-1]
         logits = (acts[-1] @ w_out + b_out).ravel()
         # d(BCE)/d(logit) for sigmoid output
-        g = (_sigmoid(logits) - y).reshape(-1, 1) / n
+        g = (logistic_cdf(logits) - y).reshape(-1, 1) / n
         np.matmul(g, w_out.T, out=grad_h)
         _descend(w_out, b_out, grads[-1], acts[-1], g, lr)
         for i in range(hidden - 1, -1, -1):
@@ -284,4 +277,4 @@ def attack_accuracy(
         raise ValueError("victim output width does not match the classifier")
     logits = _forward(classifier.layers, x)
     is_member = np.arange(2 * size) < size
-    return float(np.mean((_sigmoid(logits) >= 0.5) == is_member))
+    return float(np.mean((logistic_cdf(logits) >= 0.5) == is_member))

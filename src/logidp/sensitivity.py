@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+# annotations only: a module-level Callable alias would pin each import's classes in typing's caches
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,10 +24,6 @@ from .weights import WeightVector
 
 # An exhaustive pass costs n fits, one per record, but keeps n^2 pair rows.
 BRUTE_FORCE_MAX_RECORDS = 12
-
-TrainerFn = Callable[[Dataset], WeightVector]
-# fits the heads that leave out each of the given record indices, in order
-FitFn = Callable[[list[int]], Sequence[WeightVector]]
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ def sensitivity_index_pairs(n: int, m: int, seed: int) -> np.ndarray:
     return RngStream(seed, 0).indices(2 * m, n).reshape(m, 2)
 
 
-def _pair_norms(pairs: np.ndarray, fit: FitFn):
+def _pair_norms(pairs: np.ndarray, fit: Callable[[list[int]], Sequence[WeightVector]]):
     dropped = list(dict.fromkeys(int(i) for i in pairs.ravel()))
     heads = {i: head.values for i, head in zip(dropped, fit(dropped))}
     norms = []
@@ -78,8 +75,9 @@ def _pair_norms(pairs: np.ndarray, fit: FitFn):
     return tuple(norms)
 
 
-def _loo_fitter(theta: WeightVector, d: Dataset, cfg: TrainConfig, trainer: TrainerFn | None) -> FitFn:
-    """Batched head fine-tuning, or trainer called once per dropped index."""
+def _loo_fitter(theta: WeightVector, d: Dataset, cfg: TrainConfig, trainer: Callable[[Dataset], WeightVector] | None):
+    """A function fitting the heads that leave out each given index, in order:
+    batched head fine-tuning, or trainer once per index."""
     if trainer is None:
         return lambda dropped: finetune_head(theta, d, cfg, leave_out=dropped)
     return lambda dropped: [trainer(d.without_index(i)) for i in dropped]
@@ -101,7 +99,7 @@ def sample_sensitivity(
     cfg: TrainConfig,
     m: int,
     seed: int,
-    trainer: TrainerFn | None = None,
+    trainer: Callable[[Dataset], WeightVector] | None = None,
     pairs: np.ndarray | None = None,
 ) -> SensitivityEstimate:
     """Monte-Carlo sensitivity over m seeded leave-one-out pairs.
@@ -130,7 +128,7 @@ def brute_force_sensitivity(
     theta: WeightVector,
     d: Dataset,
     cfg: TrainConfig,
-    trainer: TrainerFn | None = None,
+    trainer: Callable[[Dataset], WeightVector] | None = None,
 ) -> SensitivityEstimate:
     """Exact max over all ordered leave-one-out pairs: |d| fits, one per
     dropped record, but |d|^2 pair norms are kept, hence the size guard.

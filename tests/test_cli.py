@@ -13,8 +13,8 @@ import pytest
 from logidp.cli import build_parser, main
 from logidp.experiments import (
     AttackClassifierConfig,
+    CsvDataSpec,
     SampledSensitivity,
-    FixedSensitivity,
     SweepConfig,
     SyntheticDataSpec,
     config_to_json_dict,
@@ -25,9 +25,10 @@ from logidp.mechanisms import (
     MechanismKind,
     MechanismSpec,
     NormKind,
+    Sensitivity,
     sample_noise,
 )
-from logidp.pipeline import TrainConfig, pretrain_encoder
+from logidp.pipeline import Dataset, TrainConfig, pretrain_encoder, save_dataset_csv
 from logidp.protection import load_protected_release
 from logidp.rng import RngStream
 from logidp.sensitivity import load_estimate, sample_sensitivity
@@ -120,7 +121,7 @@ class TestSensitivity:
         assert est == direct
 
     def test_fixed_sensitivity_config_rejected(self, tmp_path, capsys):
-        cfg = small_config(sensitivity=FixedSensitivity(0.5, NormKind.L1))
+        cfg = small_config(sensitivity=Sensitivity(NormKind.L1, 0.5))
         path = tmp_path / "fixed.json"
         path.write_text(json.dumps(config_to_json_dict(cfg)))
         code = main(["sensitivity", "--config", str(path), "--out", str(tmp_path / "e.json")])
@@ -261,6 +262,25 @@ class TestSweep:
         assert calls == []
         assert not out.exists()
 
+    def test_csv_splits_of_different_widths_rejected_before_training(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr("logidp.experiments.pretrain_encoder", lambda *a: calls.append(a))
+        splits = DATA.load()
+        holdout = splits["holdout"]
+        splits["holdout"] = Dataset(holdout.features[:, :6], holdout.labels, holdout.num_classes)
+        paths = {name: str(tmp_path / f"{name}.csv") for name in splits}
+        for name, ds in splits.items():
+            save_dataset_csv(ds, paths[name])
+        doc = config_to_json_dict(small_config(dataset=CsvDataSpec(**paths, num_classes=5)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "error: splits disagree on feature_dim: [6, 8]" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def report_json(config_path, tmp_path_factory):
@@ -286,6 +306,13 @@ class TestReport:
         assert lines[0] == "mechanism,epsilon,scale,utility_loss,mia_accuracy,repeats"
         assert len(lines) == 1 + 2 * 3
         assert all(line.endswith(",2") for line in lines[1:])
+
+    def test_averaged_json_rejected(self, report_json, tmp_path, capsys):
+        out = tmp_path / "avg.json"
+        assert main(["report", "--in", str(report_json), "--averaged", "--format", "json",
+                     "--out", str(out)]) == 1
+        assert "--averaged writes CSV only" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exits_nonzero(self, tmp_path, capsys):
         code = main(["report", "--in", str(tmp_path / "nope.json"),
@@ -373,3 +400,20 @@ class TestDependencies:
         pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
         block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
         assert re.findall(r'"([^"]+)"', block) == ["numpy>=1.24"]
+
+    def test_reimported_modules_are_released(self):
+        # a fresh import per job, as perfbench's worker makes, must not keep
+        # the previous import's classes alive
+        code = (
+            "import gc, importlib, sys\n"
+            "for _ in range(3):\n"
+            "    for name in [n for n in sys.modules if n.split('.')[0] == 'logidp']:\n"
+            "        del sys.modules[name]\n"
+            "    importlib.import_module('logidp.cli')\n"
+            "gc.collect()\n"
+            "print(sum(isinstance(o, type) and o.__module__ == 'logidp.pipeline'\n"
+            "          and o.__name__ == 'Dataset' for o in gc.get_objects()))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "1"

@@ -13,7 +13,6 @@ from logidp.pipeline import TrainConfig, save_dataset_csv
 from logidp.experiments import (
     AveragedRow,
     CsvDataSpec,
-    FixedSensitivity,
     SampledSensitivity,
     SweepConfig,
     SweepReport,
@@ -86,7 +85,7 @@ def sweep_configs(draw):
         mechanisms=tuple(draw(st.lists(st.sampled_from(MechanismKind), min_size=1, unique=True))),
         sensitivity=draw(st.one_of(
             st.builds(SampledSensitivity, st.integers(1, 10**6), u64),
-            st.builds(FixedSensitivity, positive, st.sampled_from(NormKind)),
+            st.builds(Sensitivity, st.sampled_from(NormKind), positive),
         )),
         attack=draw(st.builds(
             AttackClassifierConfig, epochs=st.integers(0, 10**5), seed=u64,
@@ -206,7 +205,7 @@ class TestRunSweep:
     def test_fixed_sensitivity_wrong_norm_errors(self):
         cfg = small_config(
             mechanisms=(MechanismKind.GAUSSIAN,),
-            sensitivity=FixedSensitivity(0.5, NormKind.L1),
+            sensitivity=Sensitivity(NormKind.L1, 0.5),
         )
         with pytest.raises(ValueError):
             run_sweep(cfg)
@@ -214,7 +213,7 @@ class TestRunSweep:
     def test_fixed_sensitivity_drives_scales(self):
         cfg = small_config(
             mechanisms=(MechanismKind.LOGISTIC,),
-            sensitivity=FixedSensitivity(0.5, NormKind.L1),
+            sensitivity=Sensitivity(NormKind.L1, 0.5),
             epsilon_grid=(2.0, 1.0, 0.25),
             repeats_per_point=1,
         )
@@ -224,7 +223,7 @@ class TestRunSweep:
     def test_scale_grid_resolves_epsilons_descending(self):
         cfg = small_config(
             mechanisms=(MechanismKind.LOGISTIC,),
-            sensitivity=FixedSensitivity(0.5, NormKind.L1),
+            sensitivity=Sensitivity(NormKind.L1, 0.5),
             epsilon_grid=None,
             scale_grid=(0.5, 0.125, 2.0),
             repeats_per_point=1,
@@ -266,7 +265,7 @@ class TestEmitReport:
         assert len(lines) == len(small_report.rows) + 1
 
     def test_empty_report_is_header_only(self, small_report, tmp_path):
-        empty = dataclasses.replace(small_report, rows=(), averaged=())
+        empty = dataclasses.replace(small_report, rows=())
         path = tmp_path / "empty.csv"
         emit_report(empty, path, "csv")
         assert path.read_text() == "mechanism,epsilon,scale,utility_loss,mia_accuracy,repeat_index\n"
@@ -324,20 +323,39 @@ class TestEmitReport:
         with pytest.raises(ValueError, match=f"averaged: {field} must"):
             load_report(path)
 
+    def test_load_rejects_averaged_rows_that_are_not_the_row_means(self, tmp_path):
+        doc = report_to_json_dict(handmade_report([0.0, 0.1, 0.2], [0.6, 0.55, 0.5]))
+        doc["averaged"][0]["utility_loss"] = 0.9
+        doc["averaged"][1] = dict(doc["averaged"][0])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"averaged: row \(logistic, epsilon 8\.0\) is not the mean"):
+            load_report(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rows: rows.pop(), "epsilon 2.0"),
+        (lambda rows: rows.append(dict(rows[0], epsilon=0.5)), "epsilon 0.5"),
+    ])
+    def test_load_rejects_missing_or_extra_averaged_rows(self, tmp_path, edit, named):
+        doc = report_to_json_dict(handmade_report([0.0, 0.1, 0.2], [0.6, 0.55, 0.5]))
+        edit(doc["averaged"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"averaged: row \\(logistic, {named}\\)"):
+            load_report(path)
+
+    def test_averaged_rows_are_computed_not_stored(self):
+        assert "averaged" not in {f.name for f in dataclasses.fields(SweepReport)}
+
 
 def handmade_report(utils, mias, mechanisms=(MechanismKind.LOGISTIC,), eps=None):
     eps = eps or tuple(8.0 / 2**k for k in range(len(utils)))
+    sens = Sensitivity(NormKind.L1, 0.5)
     cfg = small_config(mechanisms=mechanisms, epsilon_grid=eps, repeats_per_point=1,
-                       sensitivity=FixedSensitivity(0.5, NormKind.L1))
-    rows = []
-    averaged = []
-    for kind in mechanisms:
-        for e, u, m in zip(eps, utils, mias):
-            rows.append(SweepRow(kind, e, 0.5 / e, u, m, 0))
-            averaged.append(AveragedRow(kind, e, 0.5 / e, u, m, 1))
-    sens = FixedSensitivity(0.5, NormKind.L1)
-    return SweepReport(tuple(rows), tuple(averaged), sens, cfg,
-                       {"accuracy": 0.9, "mia_accuracy": 0.6})
+                       sensitivity=sens)
+    rows = [SweepRow(kind, e, 0.5 / e, u, m, 0)
+            for kind in mechanisms for e, u, m in zip(eps, utils, mias)]
+    return SweepReport(tuple(rows), sens, cfg, {"accuracy": 0.9, "mia_accuracy": 0.6})
 
 
 class TestTrendStatistics:
@@ -388,7 +406,7 @@ class TestConfigSerialization:
 
     def test_round_trip_through_json_text(self):
         cfg = small_config(
-            sensitivity=FixedSensitivity(0.25, NormKind.L1),
+            sensitivity=Sensitivity(NormKind.L1, 0.25),
             mechanisms=(MechanismKind.LOGISTIC, MechanismKind.LAPLACE),
         )
         text = json.dumps(config_to_json_dict(cfg))
@@ -421,6 +439,18 @@ class TestConfigSerialization:
         obj = json.loads(json.dumps(config_to_json_dict(small_config())))
         del obj[block]
         with pytest.raises(ValueError, match=f"SweepConfig is missing field '{block}'"):
+            config_from_json_dict(obj)
+
+    def test_fixed_sensitivity_block_loads(self):
+        obj = json.loads(json.dumps(config_to_json_dict(small_config())))
+        obj["sensitivity"] = {"kind": "fixed", "norm": "l1", "value": 0.5}
+        assert config_from_json_dict(obj).sensitivity == Sensitivity(NormKind.L1, 0.5)
+
+    @pytest.mark.parametrize("value", [0, -0.5, float("inf"), float("nan")])
+    def test_nonpositive_fixed_sensitivity_rejected_at_load(self, value):
+        obj = json.loads(json.dumps(config_to_json_dict(small_config())))
+        obj["sensitivity"] = {"kind": "fixed", "norm": "l1", "value": value}
+        with pytest.raises(ValueError, match="sensitivity: sensitivity must be positive"):
             config_from_json_dict(obj)
 
     def test_omitted_training_keys_take_train_config_defaults(self):

@@ -10,7 +10,6 @@ from logidp.mia import (
     AttackRecord,
     attack_accuracy,
     _init_layers,
-    _sigmoid,
     _stack_inputs,
     build_attack_dataset,
     train_attack_classifier,
@@ -61,6 +60,15 @@ def random_records(count, num_classes=4, seed=0):
         AttackRecord(rng.dirichlet(np.full(num_classes, 0.5)), eye[rng.integers(num_classes)], i % 2)
         for i in range(count)
     ]
+
+
+def _sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def reference_train(records, cfg):
@@ -303,6 +311,11 @@ class TestTrainAttackClassifier:
     )
     def test_layers_identical_across_blas_thread_counts(self, thread_digests):
         assert thread_digests["1"][0] == thread_digests["2"][0]
+
+    def test_diverging_run_raises_instead_of_returning_nan_layers(self):
+        cfg = AttackClassifierConfig(epochs=50, seed=9, learning_rate=1e200)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+            train_attack_classifier(random_records(240), cfg)
 
     def test_single_class_error(self, separable_records):
         members = [r for r in separable_records if r.membership == 1]

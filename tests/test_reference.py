@@ -6,11 +6,9 @@ import pytest
 
 from logidp.experiments import (
     AttackClassifierConfig,
-    FixedSensitivity,
     SweepConfig,
     SweepReport,
     SweepRow,
-    AveragedRow,
     SyntheticDataSpec,
     trend_statistics,
 )
@@ -169,7 +167,7 @@ class TestCurveShapes:
 def curve_report(bench, kind):
     util = bench.utility_loss[kind]
     mia = bench.mia_accuracy[kind]
-    sens = FixedSensitivity(bench.delta_l1, NormKind.L1)
+    sens = Sensitivity(NormKind.L1, bench.delta_l1)
     cfg = SweepConfig(
         dataset=SyntheticDataSpec(
             num_classes=3, per_class=10, feature_dim=4, cluster_spread=0.5, seed=1,
@@ -188,11 +186,7 @@ def curve_report(bench, kind):
         SweepRow(MechanismKind.LOGISTIC, e, bench.delta_l1 / e, u, m, 0)
         for e, u, m in zip(util.epsilons, util.values, mia.values)
     )
-    averaged = tuple(
-        AveragedRow(MechanismKind.LOGISTIC, e, bench.delta_l1 / e, u, m, 1)
-        for e, u, m in zip(util.epsilons, util.values, mia.values)
-    )
-    return SweepReport(rows, averaged, sens, cfg, {"accuracy": 0.9, "mia_accuracy": 0.6})
+    return SweepReport(rows, sens, cfg, {"accuracy": 0.9, "mia_accuracy": 0.6})
 
 
 class TestTrendsOnStoredCurves:
