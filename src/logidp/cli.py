@@ -15,10 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .experiments import (
     SampledSensitivity,
+    check_calibration,
     config_from_json_dict,
     emit_averaged,
     emit_report,
@@ -48,12 +50,17 @@ def _load_config(path: str, seed_override: int | None):
 
 def _budget_point(args):
     """Config, trained stages, sensitivity and mechanism spec for protect and
-    attack; the budget flags are checked before anything is trained."""
+    attack; the budget flags and the mechanism's calibration are checked
+    before anything is trained."""
     if (args.epsilon is None) == (args.scale is None):
         raise ValueError("give exactly one of --epsilon and --scale")
+    flag, value = ("--epsilon", args.epsilon) if args.scale is None else ("--scale", args.scale)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag} must be positive and finite, got {value}")
     cfg = _load_config(args.config, args.seed)
-    splits, theta, omega = train_model(cfg)
     kind = MechanismKind(args.mechanism)
+    check_calibration(cfg, [kind])
+    splits, theta, omega = train_model(cfg)
     sens = sensitivity_for(kind, resolve_sensitivity(cfg, theta, splits))
     spec = mechanism_spec(cfg, kind, sens, epsilon=args.epsilon, scale=args.scale)
     return cfg, splits, theta, omega, sens, spec

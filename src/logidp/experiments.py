@@ -21,6 +21,7 @@ import numpy as np
 
 from .mechanisms import (
     _REQUIRED_NORM,
+    _check_delta,
     MechanismKind,
     MechanismSpec,
     NormKind,
@@ -112,14 +113,18 @@ class CsvDataSpec:
     num_classes: int | None = None
 
     def load(self) -> dict[str, Dataset]:
+        """The five splits; without num_classes, every split gets the count
+        the largest label over all five implies."""
         splits = {
             name: load_dataset_csv(getattr(self, name), num_classes=self.num_classes)
             for name in _SPLIT_NAMES
         }
-        for attr in ("num_classes", "feature_dim"):
-            widths = {getattr(d, attr) for d in splits.values()}
-            if len(widths) != 1:
-                raise ValueError(f"splits disagree on {attr}: {sorted(widths)}")
+        widths = {d.feature_dim for d in splits.values()}
+        if len(widths) != 1:
+            raise ValueError(f"splits disagree on feature_dim: {sorted(widths)}")
+        if self.num_classes is None:
+            count = max(d.num_classes for d in splits.values())
+            splits = {name: Dataset(d.features, d.labels, count) for name, d in splits.items()}
         return splits
 
 
@@ -317,6 +322,16 @@ def train_auditor(cfg: SweepConfig, theta: WeightVector, splits) -> AttackClassi
     return train_attack_classifier(records, cfg.attack)
 
 
+def check_calibration(cfg: SweepConfig, kinds) -> None:
+    """Raises ValueError, before anything is trained, unless the config can
+    calibrate each mechanism: a gaussian delta in (0, 1), and a fixed
+    sensitivity in the norm the mechanism needs."""
+    for kind in kinds:
+        _check_delta(kind, cfg.delta if kind is MechanismKind.GAUSSIAN else 0.0)
+        if isinstance(cfg.sensitivity, Sensitivity):
+            sensitivity_for(kind, cfg.sensitivity)
+
+
 def mechanism_spec(cfg: SweepConfig, kind: MechanismKind, sens: Sensitivity, *,
                    epsilon: float | None = None, scale: float | None = None) -> MechanismSpec:
     """Spec at the given noise scale or, without one, the scale that spends
@@ -340,6 +355,7 @@ def _grid_for(cfg: SweepConfig, kind: MechanismKind, sens: Sensitivity):
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Train once, then measure every (mechanism, epsilon, repeat) cell."""
+    check_calibration(cfg, cfg.mechanisms)
     splits, theta, omega = train_model(cfg)
 
     holdout = splits["holdout"]

@@ -102,8 +102,10 @@ def _check_pairing(kind: MechanismKind, sens: Sensitivity) -> None:
         )
 
 
-def _gaussian_factor(delta: float) -> float:
-    return math.sqrt(2.0 * math.log(1.25 / delta))
+def _noise_factor(kind: MechanismKind, delta: float) -> float:
+    """Scale per unit of sensitivity / epsilon: sqrt(2 ln(1.25/delta)) for
+    the gaussian mechanism, exactly 1 for logistic and laplace."""
+    return math.sqrt(2.0 * math.log(1.25 / delta)) if kind is MechanismKind.GAUSSIAN else 1.0
 
 
 def scale_for_budget(kind: MechanismKind, budget: PrivacyBudget, sens: Sensitivity) -> MechanismSpec:
@@ -114,20 +116,14 @@ def scale_for_budget(kind: MechanismKind, budget: PrivacyBudget, sens: Sensitivi
     """
     _check_pairing(kind, sens)
     _check_delta(kind, budget.delta)
-    if kind is MechanismKind.GAUSSIAN:
-        scale = (sens.value * _gaussian_factor(budget.delta)) / budget.epsilon
-    else:
-        scale = sens.value / budget.epsilon
+    scale = (sens.value * _noise_factor(kind, budget.delta)) / budget.epsilon
     return MechanismSpec(kind, scale, budget.delta)
 
 
 def budget_for_scale(spec: MechanismSpec, sens: Sensitivity) -> PrivacyBudget:
     """Exact inverse of scale_for_budget (same association, so ~1 ulp)."""
     _check_pairing(spec.kind, sens)
-    if spec.kind is MechanismKind.GAUSSIAN:
-        epsilon = (sens.value * _gaussian_factor(spec.delta)) / spec.scale
-    else:
-        epsilon = sens.value / spec.scale
+    epsilon = (sens.value * _noise_factor(spec.kind, spec.delta)) / spec.scale
     return PrivacyBudget(epsilon, spec.delta)
 
 

@@ -133,11 +133,15 @@ def _init_layers(cfg: AttackClassifierConfig, num_classes: int):
     ]
 
 
-def _forward(layers, x: np.ndarray) -> np.ndarray:
-    """Output logits of the MLP on the rows of x."""
+def _forward(layers, x: np.ndarray, acts) -> np.ndarray:
+    """Output logits of the MLP on the rows of x; each hidden layer's ReLU
+    activation is written to its (rows, width) buffer in acts."""
     h = x
-    for w, b in layers[:-1]:
-        h = np.maximum(h @ w + b, 0.0)
+    for (w, b), a in zip(layers[:-1], acts):
+        np.matmul(h, w, out=a)
+        a += b
+        np.maximum(a, 0.0, out=a)
+        h = a
     w, b = layers[-1]
     return (h @ w + b).ravel()
 
@@ -228,13 +232,9 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
     gz = np.empty((n, cfg.hidden_width))
     mask = np.empty((n, cfg.hidden_width), dtype=bool)
     grads = [np.empty_like(w) for w, _ in layers]
+    w_out, b_out = layers[-1]
     for _ in range(cfg.epochs):
-        for (w, b), h_in, a in zip(layers[:-1], inputs, acts):
-            np.matmul(h_in, w, out=a)
-            a += b
-            np.maximum(a, 0.0, out=a)
-        w_out, b_out = layers[-1]
-        logits = (acts[-1] @ w_out + b_out).ravel()
+        logits = _forward(layers, x, acts)
         # d(BCE)/d(logit) for sigmoid output
         g = (logistic_cdf(logits) - y).reshape(-1, 1) / n
         np.matmul(g, w_out.T, out=grad_h)
@@ -275,6 +275,7 @@ def attack_accuracy(
     ])
     if x.shape[1] != 2 * classifier.num_classes:
         raise ValueError("victim output width does not match the classifier")
-    logits = _forward(classifier.layers, x)
+    acts = [np.empty((len(x), w.shape[1])) for w, _ in classifier.layers[:-1]]
+    logits = _forward(classifier.layers, x, acts)
     is_member = np.arange(2 * size) < size
     return float(np.mean((logistic_cdf(logits) >= 0.5) == is_member))

@@ -44,7 +44,7 @@ _STREAM_TASK = 1
 class TrainConfig:
     """Hyper-parameters for either training stage.
 
-    hidden_dims feeds the encoder (first entry is the hidden width); the
+    hidden_dims feeds the encoder, whose one entry is the hidden width; the
     head ignores it. epochs=0 and learning_rate=0 are constructible so the
     zero-step behavior is testable, but both trainers insist on epochs >= 1.
     weight_decay adds lr * weight_decay * w to each update (an L2 pull toward
@@ -294,8 +294,8 @@ def pretrain_encoder(dataset: Dataset, cfg: TrainConfig) -> WeightVector:
         raise ValueError("pretraining dataset is empty")
     if cfg.epochs < 1:
         raise ValueError("training needs epochs >= 1")
-    if not cfg.hidden_dims:
-        raise ValueError("encoder needs a hidden width in hidden_dims")
+    if len(cfg.hidden_dims) != 1:
+        raise ValueError(f"hidden_dims must hold exactly one encoder width, got {cfg.hidden_dims}")
     d, h, k = dataset.feature_dim, cfg.hidden_dims[0], PSEUDO_TASK_CLASSES
     x, y = _pseudo_task_data(dataset, cfg.seed)
     init = RngStream(cfg.seed, _STREAM_INIT)
@@ -343,6 +343,15 @@ def _unflatten_head(omega: WeightVector):
     return omega.values.reshape(h, c)
 
 
+def check_model(theta: WeightVector, omega: WeightVector) -> None:
+    """Raises ValueError unless theta is an encoder and omega a head on its
+    outputs, each as long as its tag says."""
+    hidden = _unflatten_encoder(theta)[1].size
+    head_in = _unflatten_head(omega).shape[0]
+    if head_in != hidden:
+        raise ValueError(f"encoder hidden width {hidden} does not match head input width {head_in}")
+
+
 def _as_batch(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
@@ -352,20 +361,14 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     raise ValueError(f"inputs must be 1-D or 2-D, got shape {arr.shape}")
 
 
-def encoder_preactivation(theta: WeightVector, x):
-    """Affine part of the encoder, before the nonlinearity."""
+def encode(theta: WeightVector, x):
+    """Deterministic forward pass; output width is the encoder hidden width."""
     w1, b1 = _unflatten_encoder(theta)
     batch, single = _as_batch(x)
     if batch.shape[1] != w1.shape[0]:
         raise ValueError(f"input dim {batch.shape[1]} does not match encoder dim {w1.shape[0]}")
-    out = batch @ w1 + b1
+    out = np.sinh(batch @ w1 + b1)
     return out[0] if single else out
-
-
-def encode(theta: WeightVector, x):
-    """Deterministic forward pass; output width is the encoder hidden width."""
-    pre = encoder_preactivation(theta, x)
-    return np.sinh(pre)
 
 
 def predict_from_representations(omega: WeightVector, reps):
@@ -426,7 +429,8 @@ def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, leave
     CPU the process may use; the bytes do not depend on the worker count.
     """
     if leave_out is None:
-        return _fit_alone(theta, dataset, cfg)[0][0]
+        init = _fit_start(theta, dataset, len(dataset), cfg)
+        return _fit_heads(encode(theta, dataset.features)[None], dataset.labels[None], init, cfg)[0]
     indices = [int(i) for i in leave_out]
     for i in indices:
         if not 0 <= i < len(dataset):
@@ -439,16 +443,11 @@ def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, leave
         # encode each copy as without_index(i) lays it out, then drop it
         reps = np.stack([encode(theta, np.delete(dataset.features, i, axis=0)) for i in chunk])
         labels = np.stack([np.delete(dataset.labels, i) for i in chunk])
-        return _fit_heads(reps, labels, init, cfg)[0]
+        return _fit_heads(reps, labels, init, cfg)
 
     chunks = [indices[start : start + _LOO_CHUNK] for start in range(0, len(indices), _LOO_CHUNK)]
     with ThreadPoolExecutor(min(len(chunks), _usable_cpus())) as pool:
         return tuple(head for heads in pool.map(fit_chunk, chunks) for head in heads)
-
-
-def finetune_head_loss_history(theta: WeightVector, dataset: Dataset, cfg: TrainConfig) -> np.ndarray:
-    """Training loss before each step plus after the last: epochs + 1 values."""
-    return _fit_alone(theta, dataset, cfg, trace=True)[1]
 
 
 def _fit_start(theta: WeightVector, dataset: Dataset, records: int, cfg: TrainConfig) -> np.ndarray:
@@ -460,17 +459,12 @@ def _fit_start(theta: WeightVector, dataset: Dataset, records: int, cfg: TrainCo
     return _head_init(_unflatten_encoder(theta)[1].size, dataset.num_classes, cfg)
 
 
-def _fit_alone(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, trace: bool = False):
-    init = _fit_start(theta, dataset, len(dataset), cfg)
-    return _fit_heads(encode(theta, dataset.features)[None], dataset.labels[None], init, cfg, trace)
-
-
-def _fit_heads(reps: np.ndarray, labels: np.ndarray, init: np.ndarray, cfg: TrainConfig, trace: bool = False):
+def _fit_heads(reps: np.ndarray, labels: np.ndarray, init: np.ndarray, cfg: TrainConfig) -> list[WeightVector]:
     """The head-training loop, run on k same-size training sets at once, given
     as (k, records, hidden) representations, (k, records) labels and one init:
     logits are a (k, classes, records) stack and every step is one batched
     matmul per product, so each head gets the bytes of a fit on its set alone.
-    Returns the k heads and, with trace, the first set's loss history."""
+    Returns the k heads."""
     k, n, hidden = reps.shape
     c = init.shape[1]
     w = np.repeat(init[None], k, axis=0)
@@ -481,21 +475,16 @@ def _fit_heads(reps: np.ndarray, labels: np.ndarray, init: np.ndarray, cfg: Trai
     # views fixed for the loop: w and z are updated in place
     w_t, z_t, z_flat = w.swapaxes(1, 2), z.swapaxes(1, 2), z.reshape(-1)
     lr, wd = cfg.learning_rate, cfg.weight_decay
-    losses = []
     for _ in range(cfg.epochs):
         np.matmul(w_t, reps_t, out=z)
-        if trace:
-            losses.append(_cross_entropy(z[0], labels[0]))
         _softmax_inplace(z)
         z_flat[label_at] -= 1.0
         z /= n
         w -= lr * (reps.swapaxes(1, 2) @ z_t + wd * w)
     if not np.all(np.isfinite(w)):
         raise ValueError("fine-tuned head is not finite; the encoder overflowed or training diverged")
-    if trace:
-        losses.append(_cross_entropy(np.matmul(w[0].T, reps_t[0]), labels[0]))
     tag = _head_tag(hidden, c)
-    return [WeightVector(head.ravel(), tag) for head in w], np.array(losses)
+    return [WeightVector(head.ravel(), tag) for head in w]
 
 
 def head_loss(theta: WeightVector, dataset: Dataset, omega: WeightVector) -> float:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import MechanismSpec, Sensitivity, budget_for_scale, sample_noise
-from .pipeline import encode, predict_from_representations
+from .pipeline import check_model, encode, predict_from_representations
 from .rng import RngStream
-from .weights import WeightVector, load_weights, parse_tag, save_weights
+from .weights import WeightVector, load_weights, save_weights
 
 _NOISE_STREAM = 0
 
@@ -53,26 +53,15 @@ class ProtectedModel:
             raise ValueError(f"noise_seed must fit in an unsigned 64-bit int, got {self.noise_seed}")
 
 
-def _check_compatible(theta: WeightVector, omega: WeightVector) -> None:
-    kind_t, dims_t = parse_tag(theta.shape_tag)
-    kind_o, dims_o = parse_tag(omega.shape_tag)
-    if kind_t != "encoder" or kind_o != "head":
-        raise ValueError(f"expected encoder and head weights, got {theta.shape_tag!r} and {omega.shape_tag!r}")
-    if dims_t.get("hidden") != dims_o.get("in"):
-        raise ValueError(
-            f"encoder hidden width {dims_t.get('hidden')} does not match head input width {dims_o.get('in')}"
-        )
-
-
 def protect_existing(theta: WeightVector, omega: WeightVector, spec: MechanismSpec, noise_seed: int) -> ProtectedModel:
     """Add the spec's noise to an already-trained head; nothing is retrained.
 
     This is the one place release noise is added. Changing spec.scale and
     calling again re-protects the same weights at a new budget without
-    another training run. A non-finite head raises ValueError, so it never
-    reaches a release.
+    another training run. A non-finite head, or weights whose length
+    contradicts their tags, raise ValueError, so they never reach a release.
     """
-    _check_compatible(theta, omega)
+    check_model(theta, omega)
     if not np.all(np.isfinite(omega.values)):
         raise ValueError("head weights must be finite")
     noisy = WeightVector(omega.values + noise_vector(spec, noise_seed, len(omega)), omega.shape_tag)

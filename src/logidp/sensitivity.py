@@ -165,20 +165,12 @@ def _from_json_dict(cls, obj, **blocks):
     return cls(**values)
 
 
-def estimate_to_json_dict(est: SensitivityEstimate) -> dict:
-    return dataclasses.asdict(est)
-
-
-def estimate_from_json_dict(obj: dict) -> SensitivityEstimate:
-    return _from_json_dict(SensitivityEstimate, obj)
-
-
 def save_estimate(est: SensitivityEstimate, path) -> None:
     with open(path, "w") as fh:
-        json.dump(estimate_to_json_dict(est), fh, indent=2)
+        json.dump(dataclasses.asdict(est), fh, indent=2)
         fh.write("\n")
 
 
 def load_estimate(path) -> SensitivityEstimate:
     with open(path) as fh:
-        return estimate_from_json_dict(json.load(fh))
+        return _from_json_dict(SensitivityEstimate, json.load(fh))

@@ -163,6 +163,58 @@ class TestProtect:
         assert code == 1
         assert "exactly one" in capsys.readouterr().err
 
+    def test_second_encoder_width_rejected(self, tmp_path, capsys):
+        doc = config_to_json_dict(small_config(pretrain=TrainConfig((6, 16), 60, 0.05, init_scale=0.05, seed=1)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        base = tmp_path / "release"
+        code = main(["protect", "--config", str(path), "--mechanism", "logistic",
+                     "--epsilon", "1.0", "--out", str(base)])
+        assert code == 1
+        assert "error: hidden_dims must hold exactly one encoder width, got (6, 16)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+
+class TestBudgetPointChecks:
+    """protect and attack refuse a bad flag or an uncalibratable mechanism
+    before anything is trained."""
+
+    @pytest.fixture()
+    def pretrain_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("logidp.experiments.pretrain_encoder", lambda *a: calls.append(a))
+        return calls
+
+    @pytest.mark.parametrize("command", ["protect", "attack"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--epsilon", "0"), ("--epsilon", "nan"), ("--epsilon", "inf"), ("--scale", "-1"), ("--scale", "0"),
+    ])
+    def test_budget_flag_must_be_positive_and_finite(self, config_path, tmp_path, capsys, pretrain_calls,
+                                                     command, flag, value):
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config_path), "--mechanism", "logistic",
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        assert f"error: {flag} must be positive and finite" in capsys.readouterr().err
+        assert pretrain_calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["protect", "attack"])
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(delta=0.0), "gaussian mechanism needs delta in (0, 1), got 0.0"),
+        (dict(sensitivity=Sensitivity(NormKind.L1, 0.5)), "gaussian mechanism needs l2 sensitivity"),
+    ])
+    def test_mechanism_calibration_checked(self, tmp_path, capsys, pretrain_calls, command, overrides, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_json_dict(small_config(**overrides))))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--mechanism", "gaussian",
+                     "--epsilon", "1.0", "--out", str(out)])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert pretrain_calls == []
+        assert not out.exists()
+
 
 class TestAttack:
     def test_reports_both_accuracies(self, config_path, tmp_path):

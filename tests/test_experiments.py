@@ -210,6 +210,17 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(delta=0.0), "gaussian mechanism needs delta in"),
+        (dict(sensitivity=Sensitivity(NormKind.L1, 0.5)), "gaussian mechanism needs l2 sensitivity"),
+    ])
+    def test_calibration_checked_before_training(self, monkeypatch, overrides, message):
+        calls = []
+        monkeypatch.setattr("logidp.experiments.pretrain_encoder", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=message):
+            run_sweep(small_config(**overrides))
+        assert calls == []
+
     def test_fixed_sensitivity_drives_scales(self):
         cfg = small_config(
             mechanisms=(MechanismKind.LOGISTIC,),
@@ -255,6 +266,20 @@ class TestRunSweep:
         cfg = small_config(dataset=CsvDataSpec(**paths, num_classes=5))
         report = run_sweep(cfg)
         assert [r.utility_loss for r in report.rows] == [r.utility_loss for r in small_report.rows]
+
+
+    def test_csv_class_count_inferred_over_all_splits(self, tmp_path):
+        splits = DATA.load()
+        holdout = splits["holdout"]
+        splits["holdout"] = holdout.subset(np.flatnonzero(holdout.labels < 4))
+        paths = {}
+        for name, ds in splits.items():
+            paths[name] = str(tmp_path / f"{name}.csv")
+            save_dataset_csv(ds, paths[name])
+        loaded = CsvDataSpec(**paths).load()
+        assert {d.num_classes for d in loaded.values()} == {5}
+        assert loaded["holdout"].labels.max() == 3
+        assert np.array_equal(loaded["holdout"].features, splits["holdout"].features)
 
 
 class TestEmitReport:

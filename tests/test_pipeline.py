@@ -21,9 +21,7 @@ from logidp.pipeline import (
     _uniform_init,
     accuracy,
     encode,
-    encoder_preactivation,
     finetune_head,
-    finetune_head_loss_history,
     head_loss,
     head_loss_gradient,
     load_dataset_csv,
@@ -233,6 +231,12 @@ class TestPretraining:
         with pytest.raises(ValueError):
             pretrain_encoder(empty, TrainConfig())
 
+    @pytest.mark.parametrize("hidden_dims", [(), (6, 16)])
+    def test_exactly_one_hidden_width(self, ten_class, hidden_dims):
+        # the encoder has one hidden layer; a second width would be ignored
+        with pytest.raises(ValueError, match=r"hidden_dims must hold exactly one encoder width"):
+            pretrain_encoder(ten_class, TrainConfig(hidden_dims=hidden_dims, epochs=2, seed=1))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_encoder_raises(self):
         # features this large overflow sinh, and every encoder weight turns NaN
@@ -263,9 +267,9 @@ class TestEncode:
 
     def test_preactivation_is_affine(self, trained, ten_class):
         theta, _ = trained
-        a = encoder_preactivation(theta, ten_class.features[0])
-        b = encoder_preactivation(theta, 2.0 * ten_class.features[0])
-        zero = encoder_preactivation(theta, np.zeros(32))
+        a = np.arcsinh(encode(theta, ten_class.features[0]))
+        b = np.arcsinh(encode(theta, 2.0 * ten_class.features[0]))
+        zero = np.arcsinh(encode(theta, np.zeros(32)))
         assert np.allclose(b - a, a - zero, atol=1e-12)
 
     def test_single_and_batch_agree(self, trained, ten_class):
@@ -282,7 +286,7 @@ class TestEncode:
     def test_output_expands_preactivation(self, trained, ten_class):
         # sinh: odd, sign-preserving, and at least as large as its argument
         theta, _ = trained
-        pre = encoder_preactivation(theta, ten_class.features)
+        pre = ten_class.features @ theta.values[: 32 * 8].reshape(32, 8) + theta.values[32 * 8 :]
         out = encode(theta, ten_class.features)
         assert np.all(np.sign(out) == np.sign(pre))
         assert np.all(np.abs(out) >= np.abs(pre))
@@ -330,15 +334,14 @@ class TestFinetune:
         data = make_synthetic_dataset(3, 20, 6, 0.5, 17)
         theta = pretrain_encoder(data, TrainConfig((4,), 20, 0.1, seed=1))
         huge = Dataset(data.features * 1e4, data.labels, data.num_classes)
-        for train in (finetune_head, finetune_head_loss_history):
-            with pytest.raises(ValueError, match="head is not finite.*encoder overflowed"):
-                train(theta, huge, TrainConfig(epochs=50, seed=2))
+        with pytest.raises(ValueError, match="head is not finite.*encoder overflowed"):
+            finetune_head(theta, huge, TrainConfig(epochs=50, seed=2))
 
     def test_loss_history_monotone_at_moderate_rate(self, trained, ten_class):
         theta, _ = trained
-        hist = finetune_head_loss_history(theta, ten_class, TrainConfig(epochs=50, learning_rate=0.05, seed=5))
-        assert len(hist) == 51
-        assert np.all(np.diff(hist) <= 0)
+        fits = [finetune_head(theta, ten_class, TrainConfig(epochs=e, learning_rate=0.05, seed=5)) for e in range(1, 51)]
+        losses = [head_loss(theta, ten_class, omega) for omega in fits]
+        assert np.all(np.diff(losses) <= 0)
 
     # 1-7 classes take the sequential class sum, 8-17 the 8-accumulator
     # one with and without leftover classes, 25 several blocks of 8.
@@ -353,7 +356,6 @@ class TestFinetune:
         want, want_losses = reference_finetune_head(theta, data, cfg)
         omega = finetune_head(theta, data, cfg)
         assert omega.values.tobytes() == want.tobytes()
-        assert finetune_head_loss_history(theta, data, cfg).tobytes() == want_losses.tobytes()
         assert head_loss(theta, data, omega) == want_losses[-1]
         reps = encode(theta, data.features)
         g = (reference_softmax(reps @ omega.values.reshape(8, -1)) - one_hot(data.labels, num_classes)) / records

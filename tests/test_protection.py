@@ -99,6 +99,14 @@ class TestProtectExisting:
         with pytest.raises(ValueError):
             protect_existing(theta, not_a_head, LOG, 0)
 
+    def test_head_length_must_match_its_tag(self, small, tmp_path):
+        *_, theta, _ = small
+        short = WeightVector(np.zeros(7), "head:in=4,classes=10")
+        with pytest.raises(ValueError, match="head weight vector length does not match its tag"):
+            model = protect_existing(theta, short, LOG, 0)
+            export_protected_model(model, tmp_path / "release")
+        assert list(tmp_path.iterdir()) == []
+
     def test_mismatched_clean_noisy_rejected(self, small):
         *_, theta, omega = small
         other = WeightVector(np.zeros(len(omega) + 1), omega.shape_tag)

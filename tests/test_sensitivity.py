@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,8 +12,7 @@ from logidp.sensitivity import (
     BRUTE_FORCE_MAX_RECORDS,
     SensitivityEstimate,
     brute_force_sensitivity,
-    estimate_from_json_dict,
-    estimate_to_json_dict,
+    _from_json_dict,
     load_estimate,
     sample_sensitivity,
     save_estimate,
@@ -80,7 +80,7 @@ class TestEstimateType:
         # JSON reads NaN and Infinity, so a saved estimate is checked the same way
         doc = {"delta_l1": 1.0, "delta_l2": 0.5, "m": 2, "seed": 0, "per_pair_norms": [[1.0, 0.5], [bad, bad]]}
         with pytest.raises(ValueError, match="must be finite"):
-            estimate_from_json_dict(json.loads(json.dumps(doc)))
+            _from_json_dict(SensitivityEstimate, json.loads(json.dumps(doc)))
 
     def test_accepts_consistent_values(self):
         est = SensitivityEstimate(3.0, 2.0, 2, 7, ((3.0, 2.0), (1.0, 1.0)))
@@ -258,10 +258,10 @@ class TestSerialization:
         est = SensitivityEstimate(
             max(l1 for l1, _ in norms), max(l2 for _, l2 in norms), len(norms), seed, norms
         )
-        back = estimate_from_json_dict(json.loads(json.dumps(estimate_to_json_dict(est))))
+        back = _from_json_dict(SensitivityEstimate, json.loads(json.dumps(dataclasses.asdict(est))))
         assert back == est
         assert np.array(back.per_pair_norms).tobytes() == np.array(norms).tobytes()
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
-            estimate_from_json_dict({"delta_l1": 1.0})
+            _from_json_dict(SensitivityEstimate, {"delta_l1": 1.0})
