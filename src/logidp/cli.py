@@ -48,10 +48,9 @@ def _load_config(path: str, seed_override: int | None):
     return cfg
 
 
-def _budget_point(args):
-    """Config, trained stages, sensitivity and mechanism spec for protect and
-    attack; the budget flags and the mechanism's calibration are checked
-    before anything is trained."""
+def _budget_config(args):
+    """Config and mechanism kind for protect and attack; the budget flags and
+    the mechanism's calibration are checked before anything is trained."""
     if (args.epsilon is None) == (args.scale is None):
         raise ValueError("give exactly one of --epsilon and --scale")
     flag, value = ("--epsilon", args.epsilon) if args.scale is None else ("--scale", args.scale)
@@ -60,10 +59,7 @@ def _budget_point(args):
     cfg = _load_config(args.config, args.seed)
     kind = MechanismKind(args.mechanism)
     check_calibration(cfg, [kind])
-    splits, theta, omega = train_model(cfg)
-    sens = sensitivity_for(kind, resolve_sensitivity(cfg, theta, splits))
-    spec = mechanism_spec(cfg, kind, sens, epsilon=args.epsilon, scale=args.scale)
-    return cfg, splits, theta, omega, sens, spec
+    return cfg, kind
 
 
 def _cmd_sample(args) -> None:
@@ -86,7 +82,10 @@ def _cmd_sensitivity(args) -> None:
 
 
 def _cmd_protect(args) -> None:
-    cfg, _, theta, omega, sens, spec = _budget_point(args)
+    cfg, kind = _budget_config(args)
+    splits, theta, omega = train_model(cfg)
+    sens = sensitivity_for(kind, resolve_sensitivity(cfg, theta, splits))
+    spec = mechanism_spec(cfg, kind, sens, epsilon=args.epsilon, scale=args.scale)
     model = protect_existing(
         theta, omega, spec, derive_seed(cfg.master_seed, "cli-protect")
     )
@@ -94,7 +93,12 @@ def _cmd_protect(args) -> None:
 
 
 def _cmd_attack(args) -> None:
-    cfg, splits, theta, omega, _, spec = _budget_point(args)
+    cfg, kind = _budget_config(args)
+    splits, theta, omega = train_model(cfg, audit=True)
+    sens = None  # only a budget needs it; a given --scale is used as is
+    if args.scale is None:
+        sens = sensitivity_for(kind, resolve_sensitivity(cfg, theta, splits))
+    spec = mechanism_spec(cfg, kind, sens, epsilon=args.epsilon, scale=args.scale)
     classifier = train_auditor(cfg, theta, splits)
     model = protect_existing(
         theta, omega, spec, derive_seed(cfg.master_seed, "cli-attack-noise")

@@ -35,6 +35,7 @@ from .mia import (
     AttackClassifierConfig,
     attack_accuracy,
     build_attack_dataset,
+    check_attack_partitions,
     train_attack_classifier,
 )
 from .pipeline import (
@@ -275,9 +276,17 @@ def utility_loss(protected_metric: float, unprotected_metric: float) -> float:
 # run_sweep and every CLI command build on these, so a given config and
 # master seed train, sample and audit identically on every path.
 
-def train_model(cfg: SweepConfig) -> tuple[dict[str, Dataset], WeightVector, WeightVector]:
-    """Load the splits, pretrain the encoder, fine-tune the head: (splits, theta, omega)."""
+def train_model(
+    cfg: SweepConfig, *, audit: bool = False
+) -> tuple[dict[str, Dataset], WeightVector, WeightVector]:
+    """Load the splits, pretrain the encoder, fine-tune the head: (splits, theta, omega).
+
+    With audit, the shadow splits are first checked to supply the attack's
+    train_pairs, so a run that cannot audit fails before any training.
+    """
     splits = cfg.dataset.load()
+    if audit:
+        check_attack_partitions(splits["shadow_in"], splits["shadow_out"], cfg.attack.train_pairs)
     theta = pretrain_encoder(splits["pretrain"], cfg.pretrain)
     omega = finetune_head(theta, splits["finetune"], cfg.finetune)
     return splits, theta, omega
@@ -332,10 +341,11 @@ def check_calibration(cfg: SweepConfig, kinds) -> None:
             sensitivity_for(kind, cfg.sensitivity)
 
 
-def mechanism_spec(cfg: SweepConfig, kind: MechanismKind, sens: Sensitivity, *,
+def mechanism_spec(cfg: SweepConfig, kind: MechanismKind, sens: Sensitivity | None, *,
                    epsilon: float | None = None, scale: float | None = None) -> MechanismSpec:
     """Spec at the given noise scale or, without one, the scale that spends
-    epsilon. Only the gaussian mechanism carries the config's delta."""
+    epsilon at sensitivity sens. Only the gaussian mechanism carries the
+    config's delta."""
     delta = cfg.delta if kind is MechanismKind.GAUSSIAN else 0.0
     if scale is not None:
         return MechanismSpec(kind, scale, delta)
@@ -356,7 +366,7 @@ def _grid_for(cfg: SweepConfig, kind: MechanismKind, sens: Sensitivity):
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Train once, then measure every (mechanism, epsilon, repeat) cell."""
     check_calibration(cfg, cfg.mechanisms)
-    splits, theta, omega = train_model(cfg)
+    splits, theta, omega = train_model(cfg, audit=True)
 
     holdout = splits["holdout"]
     holdout_reps = encode(theta, holdout.features)

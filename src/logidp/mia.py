@@ -5,6 +5,8 @@ model's (output vector, one-hot label) pairs for records inside and outside
 the shadow training set, and fits a small binary MLP on those pairs. Attack
 accuracy against the victim is the fraction of balanced member/non-member
 queries the classifier gets right at threshold 0.5; 0.5 is random guessing.
+The MLP trains and scores in float32, as attack models usually do; the
+release path (noise, calibration, sensitivity, encoder, heads) stays float64.
 
 Records carry a provenance tag so the trainer can refuse victim-derived
 records: the classifier must only ever see shadow outputs.
@@ -90,7 +92,7 @@ class AttackClassifierConfig:
 
 @dataclass(frozen=True)
 class AttackClassifier:
-    """Trained membership MLP: ReLU hidden stack, sigmoid output."""
+    """Trained membership MLP: ReLU hidden stack, sigmoid output, float32 layers."""
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     num_classes: int
@@ -98,8 +100,8 @@ class AttackClassifier:
     def __post_init__(self):
         frozen = []
         for w, b in self.layers:
-            w = np.asarray(w, dtype=np.float64).copy()
-            b = np.asarray(b, dtype=np.float64).copy()
+            w = np.asarray(w, dtype=np.float32).copy()
+            b = np.asarray(b, dtype=np.float32).copy()
             w.flags.writeable = False
             b.flags.writeable = False
             frozen.append((w, b))
@@ -118,10 +120,11 @@ def _stack_inputs(records) -> tuple[np.ndarray, np.ndarray]:
 
 def _layer_init(stream: RngStream, fan_in: int, fan_out: int, gain: float) -> tuple[np.ndarray, np.ndarray]:
     # symmetric uniform; gain 6 keeps variance flat through a ReLU stack,
-    # gain 3 is the linear-output choice; bias starts at zero
+    # gain 3 is the linear-output choice; bias starts at zero. Drawn in
+    # float64, rounded once to the float32 the MLP trains in
     bound = np.sqrt(gain / fan_in)
     w = (stream.uniforms(fan_in * fan_out) * 2.0 - 1.0) * bound
-    return w.reshape(fan_in, fan_out), np.zeros(fan_out)
+    return w.reshape(fan_in, fan_out).astype(np.float32), np.zeros(fan_out, dtype=np.float32)
 
 
 def _init_layers(cfg: AttackClassifierConfig, num_classes: int):
@@ -154,6 +157,20 @@ def _attack_inputs(theta: WeightVector, omega: WeightVector, dataset: Dataset, p
     return np.hstack([probs, one_hot(dataset.labels[picks], dataset.num_classes)])
 
 
+def check_attack_partitions(in_set: Dataset, out_set: Dataset, pairs: int) -> None:
+    """Raises ValueError unless pairs is even and >= 2, each partition holds
+    pairs/2 records, and both share num_classes."""
+    if pairs < 2 or pairs % 2:
+        raise ValueError(f"pairs must be even and >= 2, got {pairs}")
+    half = pairs // 2
+    if len(in_set) < half or len(out_set) < half:
+        raise ValueError(
+            f"need {half} records in each partition, have {len(in_set)} in / {len(out_set)} out"
+        )
+    if in_set.num_classes != out_set.num_classes:
+        raise ValueError("partitions must share num_classes")
+
+
 def build_attack_dataset(
     shadow_theta: WeightVector,
     shadow_omega: WeightVector,
@@ -166,16 +183,8 @@ def build_attack_dataset(
 
     Sampling is seeded and without replacement within each partition.
     """
-    if pairs < 2 or pairs % 2:
-        raise ValueError(f"pairs must be even and >= 2, got {pairs}")
+    check_attack_partitions(in_set, out_set, pairs)
     half = pairs // 2
-    if len(in_set) < half or len(out_set) < half:
-        raise ValueError(
-            f"need {half} records in each partition, have {len(in_set)} in / {len(out_set)} out"
-        )
-    if in_set.num_classes != out_set.num_classes:
-        raise ValueError("partitions must share num_classes")
-
     c = in_set.num_classes
     records: list[AttackRecord] = []
     for dataset, stream_index, membership in (
@@ -188,7 +197,7 @@ def build_attack_dataset(
     return records
 
 
-def _descend(w, b, grad: np.ndarray, h_in: np.ndarray, gz: np.ndarray, lr: float) -> None:
+def _descend(w, b, grad: np.ndarray, h_in: np.ndarray, gz: np.ndarray, lr: np.float32) -> None:
     """One in-place gradient step of layer (w, b) from its input h_in and
     pre-activation gradient gz; grad is scratch of w's shape."""
     np.matmul(h_in.T, gz, out=grad)
@@ -217,26 +226,30 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
     if any(r.num_classes != num_classes for r in records):
         raise ValueError("all attack records must share num_classes")
 
-    x, y = _stack_inputs(records)
+    x, y = (a.astype(np.float32) for a in _stack_inputs(records))
     layers = _init_layers(cfg, num_classes)
     n = len(records)
-    lr = cfg.learning_rate
+    # float32 scalars keep every product float32 under both numpy 1.x
+    # value-based casting and numpy 2 promotion
+    lr = np.float32(cfg.learning_rate)
+    inv_n = np.float32(1.0 / n)
     # every (n x width) array is allocated once and rewritten each epoch;
     # the ReLU mask is read off the stored activation (a > 0 exactly where
     # the pre-activation is > 0, NaN included), and the layers update in
     # place with the same two roundings as w - lr * G
     hidden = len(layers) - 1
-    acts = [np.empty((n, cfg.hidden_width)) for _ in range(hidden)]
+    acts = [np.empty((n, cfg.hidden_width), dtype=np.float32) for _ in range(hidden)]
     inputs = [x] + acts[:-1]
-    grad_h = np.empty((n, cfg.hidden_width))
-    gz = np.empty((n, cfg.hidden_width))
+    grad_h = np.empty((n, cfg.hidden_width), dtype=np.float32)
+    gz = np.empty((n, cfg.hidden_width), dtype=np.float32)
     mask = np.empty((n, cfg.hidden_width), dtype=bool)
     grads = [np.empty_like(w) for w, _ in layers]
     w_out, b_out = layers[-1]
     for _ in range(cfg.epochs):
         logits = _forward(layers, x, acts)
-        # d(BCE)/d(logit) for sigmoid output
-        g = (logistic_cdf(logits) - y).reshape(-1, 1) / n
+        # d(BCE)/d(logit) for sigmoid output; logistic_cdf evaluates in
+        # float64 and raises on a non-finite logit
+        g = (logistic_cdf(logits).astype(np.float32) - y).reshape(-1, 1) * inv_n
         np.matmul(g, w_out.T, out=grad_h)
         _descend(w_out, b_out, grads[-1], acts[-1], g, lr)
         for i in range(hidden - 1, -1, -1):
@@ -272,10 +285,10 @@ def attack_accuracy(
     x = np.concatenate([
         _attack_inputs(victim.theta, omega, members, picks_in),
         _attack_inputs(victim.theta, omega, nonmembers, picks_out),
-    ])
+    ], dtype=np.float32)
     if x.shape[1] != 2 * classifier.num_classes:
         raise ValueError("victim output width does not match the classifier")
-    acts = [np.empty((len(x), w.shape[1])) for w, _ in classifier.layers[:-1]]
+    acts = [np.empty((len(x), w.shape[1]), dtype=np.float32) for w, _ in classifier.layers[:-1]]
     logits = _forward(classifier.layers, x, acts)
     is_member = np.arange(2 * size) < size
     return float(np.mean((logistic_cdf(logits) >= 0.5) == is_member))

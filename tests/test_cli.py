@@ -176,7 +176,8 @@ class TestProtect:
 
 
 class TestBudgetPointChecks:
-    """protect and attack refuse a bad flag or an uncalibratable mechanism
+    """protect and attack refuse a bad flag or an uncalibratable mechanism,
+    and attack and sweep shadow splits too small for the attack's pairs,
     before anything is trained."""
 
     @pytest.fixture()
@@ -215,6 +216,33 @@ class TestBudgetPointChecks:
         assert pretrain_calls == []
         assert not out.exists()
 
+    @pytest.fixture()
+    def too_many_pairs_path(self, tmp_path):
+        # 60 pairs need 30 records in each 25-record shadow split
+        attack = AttackClassifierConfig(epochs=300, seed=5, train_pairs=60)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_json_dict(small_config(attack=attack))))
+        return path
+
+    @pytest.mark.parametrize("command, flags", [
+        ("attack", ["--mechanism", "logistic", "--scale", "0.5"]), ("sweep", []),
+    ])
+    def test_attack_pairs_checked_before_training(self, too_many_pairs_path, tmp_path, capsys,
+                                                  pretrain_calls, command, flags):
+        out = tmp_path / "out"
+        code = main([command, "--config", str(too_many_pairs_path), *flags, "--out", str(out)])
+        assert code == 1
+        assert "error: need 30 records in each partition, have 25 in / 25 out" in capsys.readouterr().err
+        assert pretrain_calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("protect", ["--mechanism", "logistic", "--epsilon", "1.0"]), ("sensitivity", []),
+    ])
+    def test_attack_pairs_unchecked_without_an_attack(self, too_many_pairs_path, tmp_path, command, flags):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(too_many_pairs_path), *flags, "--out", str(out)]) == 0
+
 
 class TestAttack:
     def test_reports_both_accuracies(self, config_path, tmp_path):
@@ -245,6 +273,25 @@ class TestAttack:
                      *flags, "--out", str(tmp_path / "a.json")])
         assert code == 1
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, samples", [
+        ("attack", ["--scale", "0.5"], 0),
+        ("attack", ["--epsilon", "0.5"], 1),
+        ("protect", ["--scale", "0.5"], 1),
+    ])
+    def test_sensitivity_sampled_only_when_used(self, config_path, tmp_path, monkeypatch,
+                                                command, flags, samples):
+        calls = []
+
+        def counting_sample_sensitivity(*args):
+            calls.append(args)
+            return sample_sensitivity(*args)
+
+        monkeypatch.setattr("logidp.experiments.sample_sensitivity", counting_sample_sensitivity)
+        code = main([command, "--config", str(config_path), "--mechanism", "logistic",
+                     *flags, "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert len(calls) == samples
 
 
 class TestSweep:

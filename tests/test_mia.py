@@ -9,6 +9,7 @@ from logidp.mia import (
     AttackClassifierConfig,
     AttackRecord,
     attack_accuracy,
+    _forward,
     _init_layers,
     _stack_inputs,
     build_attack_dataset,
@@ -73,8 +74,9 @@ def _sigmoid(z):
 
 def reference_train(records, cfg):
     """The allocating full-batch trainer that train_attack_classifier must
-    match bit for bit: fresh arrays every epoch, pre-activations kept for
-    the ReLU mask, and an input gradient at every layer."""
+    match bit for bit: fresh float32 arrays every epoch, pre-activations
+    kept for the ReLU mask, and an input gradient at every layer. The
+    sigmoid is evaluated in float64 and rounded to float32."""
 
     def forward(layers, x):
         pre_acts = []
@@ -87,13 +89,14 @@ def reference_train(records, cfg):
         logits = (h @ w + b).ravel()
         return pre_acts, h, logits
 
-    x, y = _stack_inputs(records)
+    x, y = (a.astype(np.float32) for a in _stack_inputs(records))
     layers = _init_layers(cfg, records[0].num_classes)
     n = len(records)
-    lr = cfg.learning_rate
+    lr = np.float32(cfg.learning_rate)
+    inv_n = np.float32(1.0 / n)
     for _ in range(cfg.epochs):
         pre_acts, h_last, logits = forward(layers, x)
-        g = (_sigmoid(logits) - y).reshape(-1, 1) / n
+        g = (_sigmoid(logits.astype(np.float64)).astype(np.float32) - y).reshape(-1, 1) * inv_n
         w_out, b_out = layers[-1]
         grad_h = g @ w_out.T
         layers[-1] = (w_out - lr * (h_last.T @ g), b_out - lr * g.sum(axis=0))
@@ -305,12 +308,26 @@ class TestTrainAttackClassifier:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="OpenBLAS reduces the (64 x 1000) @ (1000 x 64) weight gradient "
-        "in a different order on 1 and 2 threads, so the layers differ in the "
-        "last bits; the sweep report does not (TestSweep in test_cli.py)",
+        reason="OpenBLAS reduces the float32 (64 x 1000) @ (1000 x 64) weight "
+        "gradient in a different order on 1 and 2 threads, so the layers differ "
+        "in the last bits; the sweep report does not (TestSweep in test_cli.py)",
     )
     def test_layers_identical_across_blas_thread_counts(self, thread_digests):
         assert thread_digests["1"][0] == thread_digests["2"][0]
+
+    def test_trains_and_scores_in_float32(self, separable_records, monkeypatch):
+        passes = []
+
+        def recording_forward(layers, x, acts):
+            passes.append({x.dtype, *(a.dtype for a in acts), *(p.dtype for layer in layers for p in layer)})
+            return _forward(layers, x, acts)
+
+        monkeypatch.setattr("logidp.mia._forward", recording_forward)
+        clf = train_attack_classifier(separable_records, AttackClassifierConfig(epochs=3, seed=2))
+        records_accuracy(clf, separable_records)
+        assert len(passes) == 4  # three training epochs, one scoring pass
+        assert all(dtypes == {np.dtype(np.float32)} for dtypes in passes)
+        assert all(p.dtype == np.float32 for layer in constant_classifier(4, 0.0).layers for p in layer)
 
     def test_diverging_run_raises_instead_of_returning_nan_layers(self):
         cfg = AttackClassifierConfig(epochs=50, seed=9, learning_rate=1e200)
