@@ -23,12 +23,12 @@ from .experiments import (
     check_calibration,
     config_from_json_dict,
     emit_averaged,
+    emit_estimate,
     emit_report,
     load_report,
     mechanism_spec,
     resolve_sensitivity,
     run_sweep,
-    sensitivity_for,
     train_auditor,
     train_model,
 )
@@ -36,7 +36,6 @@ from .mechanisms import MechanismKind, MechanismSpec, sample_noise
 from .mia import attack_accuracy
 from .protection import export_protected_model, protect_existing
 from .rng import RngStream, derive_seed
-from .sensitivity import save_estimate
 
 
 def _load_config(path: str, seed_override: int | None):
@@ -64,8 +63,7 @@ def _budget_config(args):
 
 def _cmd_sample(args) -> None:
     kind = MechanismKind(args.kind)
-    delta = args.delta if kind is MechanismKind.GAUSSIAN else 0.0
-    spec = MechanismSpec(kind, args.scale, delta)
+    spec = MechanismSpec(kind, args.scale, kind.delta_for(args.delta))
     draws = sample_noise(spec, RngStream(args.seed), args.count)
     with open(args.out, "w") as fh:
         fh.write("noise\n")
@@ -78,13 +76,13 @@ def _cmd_sensitivity(args) -> None:
     if not isinstance(cfg.sensitivity, SampledSensitivity):
         raise ValueError("config must use a sampled sensitivity source for this command")
     splits, theta, _ = train_model(cfg)
-    save_estimate(resolve_sensitivity(cfg, theta, splits), args.out)
+    emit_estimate(resolve_sensitivity(cfg, theta, splits), args.out)
 
 
 def _cmd_protect(args) -> None:
     cfg, kind = _budget_config(args)
     splits, theta, omega = train_model(cfg)
-    sens = sensitivity_for(kind, resolve_sensitivity(cfg, theta, splits))
+    sens = resolve_sensitivity(cfg, theta, splits).for_mechanism(kind)
     spec = mechanism_spec(cfg, kind, sens, epsilon=args.epsilon, scale=args.scale)
     model = protect_existing(
         theta, omega, spec, derive_seed(cfg.master_seed, "cli-protect")
@@ -97,7 +95,7 @@ def _cmd_attack(args) -> None:
     splits, theta, omega = train_model(cfg, audit=True)
     sens = None  # only a budget needs it; a given --scale is used as is
     if args.scale is None:
-        sens = sensitivity_for(kind, resolve_sensitivity(cfg, theta, splits))
+        sens = resolve_sensitivity(cfg, theta, splits).for_mechanism(kind)
     spec = mechanism_spec(cfg, kind, sens, epsilon=args.epsilon, scale=args.scale)
     classifier = train_auditor(cfg, theta, splits)
     model = protect_existing(

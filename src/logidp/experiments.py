@@ -20,11 +20,8 @@ from itertools import zip_longest
 import numpy as np
 
 from .mechanisms import (
-    _REQUIRED_NORM,
-    _check_delta,
     MechanismKind,
     MechanismSpec,
-    NormKind,
     PrivacyBudget,
     Sensitivity,
     budget_for_scale,
@@ -51,11 +48,7 @@ from .pipeline import (
 )
 from .protection import protect_existing
 from .rng import derive_seed
-from .sensitivity import (
-    SensitivityEstimate,
-    _from_json_dict,
-    sample_sensitivity,
-)
+from .sensitivity import SensitivityEstimate, sample_sensitivity
 from .weights import WeightVector
 
 _SPLIT_NAMES = ("pretrain", "finetune", "holdout", "shadow_in", "shadow_out")
@@ -300,20 +293,6 @@ def resolve_sensitivity(cfg: SweepConfig, theta: WeightVector, splits) -> Sensit
     return sample_sensitivity(theta, splits["finetune"], cfg.finetune, source.m, source.seed)
 
 
-def sensitivity_for(kind: MechanismKind, record) -> Sensitivity:
-    """The sensitivity in the norm the mechanism calibrates against."""
-    required = _REQUIRED_NORM[kind]
-    if isinstance(record, Sensitivity):
-        if record.norm is not required:
-            raise ValueError(
-                f"{kind.value} mechanism needs {required.value} sensitivity, "
-                f"config fixes {record.norm.value}"
-            )
-        return record
-    value = record.delta_l1 if required is NormKind.L1 else record.delta_l2
-    return Sensitivity(required, value)
-
-
 def train_auditor(cfg: SweepConfig, theta: WeightVector, splits) -> AttackClassifier:
     """Shadow head on shadow_in, then the membership classifier on its outputs."""
     shadow_cfg = dataclasses.replace(
@@ -336,9 +315,9 @@ def check_calibration(cfg: SweepConfig, kinds) -> None:
     calibrate each mechanism: a gaussian delta in (0, 1), and a fixed
     sensitivity in the norm the mechanism needs."""
     for kind in kinds:
-        _check_delta(kind, cfg.delta if kind is MechanismKind.GAUSSIAN else 0.0)
+        kind.delta_for(cfg.delta)
         if isinstance(cfg.sensitivity, Sensitivity):
-            sensitivity_for(kind, cfg.sensitivity)
+            cfg.sensitivity.for_mechanism(kind)
 
 
 def mechanism_spec(cfg: SweepConfig, kind: MechanismKind, sens: Sensitivity | None, *,
@@ -346,7 +325,7 @@ def mechanism_spec(cfg: SweepConfig, kind: MechanismKind, sens: Sensitivity | No
     """Spec at the given noise scale or, without one, the scale that spends
     epsilon at sensitivity sens. Only the gaussian mechanism carries the
     config's delta."""
-    delta = cfg.delta if kind is MechanismKind.GAUSSIAN else 0.0
+    delta = kind.delta_for(cfg.delta)
     if scale is not None:
         return MechanismSpec(kind, scale, delta)
     return scale_for_budget(kind, PrivacyBudget(epsilon, delta), sens)
@@ -389,7 +368,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 
     rows = []
     for kind in cfg.mechanisms:
-        sens = sensitivity_for(kind, sens_record)
+        sens = sens_record.for_mechanism(kind)
         for eps_index, (eps, spec) in enumerate(_grid_for(cfg, kind, sens)):
             for repeat in range(cfg.repeats_per_point):
                 noise_seed = derive_seed(cfg.master_seed, "noise", kind.value, eps_index, repeat)
@@ -440,7 +419,36 @@ def trend_statistics(report: SweepReport) -> dict[MechanismKind, TrendStats]:
 # --- serialization ---------------------------------------------------------
 # Each dataclass is its own JSON schema: dataclasses.asdict writes it and
 # _from_json_dict reads it back through its constructor. A tagged union is a
-# (tag key, {tag: class}) pair.
+# (tag key, {tag: class}) pair. Reports and estimates share _write_json, so
+# an estimate file reads exactly as a report's sensitivity block.
+
+def _from_json_dict(cls, obj, **blocks):
+    """cls(**obj), so the constructor's own checks validate every document
+    read. blocks maps a field to the reader of its nested block. A missing
+    or unknown key raises ValueError naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"{cls.__name__} has no field {unknown[0]!r}")
+    for f in fields:
+        if f.name not in obj and f.default is f.default_factory is dataclasses.MISSING:
+            raise ValueError(f"{cls.__name__} is missing field {f.name!r}")
+    values = {}
+    for name, value in obj.items():
+        try:
+            values[name] = blocks[name](value) if name in blocks else value
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return cls(**values)
+
+
+def _write_json(obj, path) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"  # a failed dump leaves no file
+    with open(path, "w") as fh:
+        fh.write(text)
+
 
 _DATASET = ("type", {"synthetic": SyntheticDataSpec, "csv": CsvDataSpec})
 _SOURCE = ("kind", {"sampled": SampledSensitivity, "fixed": Sensitivity})
@@ -478,6 +486,16 @@ def config_from_json_dict(obj: dict) -> SweepConfig:
     )
 
 
+def estimate_from_json_dict(obj) -> SensitivityEstimate | Sensitivity:
+    """A report's sensitivity block, or the file `emit_estimate` writes."""
+    return _from_tagged(_ESTIMATE, obj)
+
+
+def emit_estimate(estimate: SensitivityEstimate | Sensitivity, path) -> None:
+    """The estimate as JSON, exactly as a JSON report's sensitivity block."""
+    _write_json(_to_tagged(_ESTIMATE, estimate), path)
+
+
 def report_to_json_dict(report: SweepReport) -> dict:
     return {**dataclasses.asdict(report), "config": config_to_json_dict(report.config),
             "sensitivity": _to_tagged(_ESTIMATE, report.sensitivity),
@@ -492,7 +510,7 @@ def report_from_json_dict(obj: dict) -> SweepReport:
     report = _from_json_dict(
         SweepReport, {k: v for k, v in obj.items() if k != "averaged"},
         rows=lambda rows: tuple(_from_json_dict(SweepRow, r) for r in rows),
-        sensitivity=partial(_from_tagged, _ESTIMATE),
+        sensitivity=estimate_from_json_dict,
         config=config_from_json_dict,
     )
     try:
@@ -530,14 +548,13 @@ def _ordered_rows(report: SweepReport):
 
 def emit_report(report: SweepReport, path, format: str = "csv") -> None:
     """CSV: header plus one deterministic line per row; JSON: full report."""
-    if format == "csv":
-        text = _csv_text("repeat_index", _ordered_rows(report))
-    elif format == "json":
-        text = json.dumps(report_to_json_dict(report), indent=2, sort_keys=True) + "\n"
+    if format == "json":
+        _write_json(report_to_json_dict(report), path)
+    elif format == "csv":
+        with open(path, "w") as fh:
+            fh.write(_csv_text("repeat_index", _ordered_rows(report)))
     else:
         raise ValueError(f"unknown report format {format!r}")
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def emit_averaged(report: SweepReport, path) -> None:

@@ -27,31 +27,35 @@ from .noise import (
 from .rng import RngStream
 
 
-class MechanismKind(str, Enum):
-    LOGISTIC = "logistic"
-    LAPLACE = "laplace"
-    GAUSSIAN = "gaussian"
-
-
 class NormKind(str, Enum):
     L1 = "l1"
     L2 = "l2"
 
 
-# Each mechanism's calibration is only valid against one sensitivity norm;
-# mixing them silently would void the budget arithmetic.
-_REQUIRED_NORM = {
-    MechanismKind.LOGISTIC: NormKind.L1,
-    MechanismKind.LAPLACE: NormKind.L1,
-    MechanismKind.GAUSSIAN: NormKind.L2,
-}
+class MechanismKind(str, Enum):
+    LOGISTIC = "logistic"
+    LAPLACE = "laplace"
+    GAUSSIAN = "gaussian"
+
+    @property
+    def norm(self) -> NormKind:
+        """The one sensitivity norm this mechanism's calibration is valid
+        against; mixing norms silently would void the budget arithmetic."""
+        return NormKind.L2 if self is MechanismKind.GAUSSIAN else NormKind.L1
+
+    def delta_for(self, delta: float) -> float:
+        """The delta this mechanism carries out of a configured one: all of
+        it for gaussian, which needs it in (0, 1); none for logistic and
+        laplace, which are pure epsilon-DP."""
+        if self is not MechanismKind.GAUSSIAN:
+            return 0.0
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"gaussian mechanism needs delta in (0, 1), got {delta}")
+        return delta
 
 
 def _check_delta(kind: MechanismKind, delta: float) -> None:
-    if kind is MechanismKind.GAUSSIAN:
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"gaussian mechanism needs delta in (0, 1), got {delta}")
-    elif delta != 0.0:
+    if kind.delta_for(delta) != delta:
         raise ValueError(f"{kind.value} mechanism must have delta = 0, got {delta}")
 
 
@@ -93,13 +97,13 @@ class Sensitivity:
         if not (math.isfinite(self.value) and self.value > 0):
             raise ValueError(f"sensitivity must be positive and finite, got {self.value}")
 
-
-def _check_pairing(kind: MechanismKind, sens: Sensitivity) -> None:
-    required = _REQUIRED_NORM[kind]
-    if sens.norm is not required:
-        raise ValueError(
-            f"{kind.value} mechanism requires {required.value} sensitivity, got {sens.norm.value}"
-        )
+    def for_mechanism(self, kind: MechanismKind) -> Sensitivity:
+        """This sensitivity, if it is in the norm kind calibrates against."""
+        if self.norm is not kind.norm:
+            raise ValueError(
+                f"{kind.value} mechanism needs {kind.norm.value} sensitivity, got {self.norm.value}"
+            )
+        return self
 
 
 def _noise_factor(kind: MechanismKind, delta: float) -> float:
@@ -114,7 +118,7 @@ def scale_for_budget(kind: MechanismKind, budget: PrivacyBudget, sens: Sensitivi
     logistic/laplace: scale = sensitivity / epsilon (pure epsilon-DP);
     gaussian: sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon.
     """
-    _check_pairing(kind, sens)
+    sens = sens.for_mechanism(kind)
     _check_delta(kind, budget.delta)
     scale = (sens.value * _noise_factor(kind, budget.delta)) / budget.epsilon
     return MechanismSpec(kind, scale, budget.delta)
@@ -122,7 +126,7 @@ def scale_for_budget(kind: MechanismKind, budget: PrivacyBudget, sens: Sensitivi
 
 def budget_for_scale(spec: MechanismSpec, sens: Sensitivity) -> PrivacyBudget:
     """Exact inverse of scale_for_budget (same association, so ~1 ulp)."""
-    _check_pairing(spec.kind, sens)
+    sens = sens.for_mechanism(spec.kind)
     epsilon = (sens.value * _noise_factor(spec.kind, spec.delta)) / spec.scale
     return PrivacyBudget(epsilon, spec.delta)
 

@@ -149,12 +149,18 @@ def _forward(layers, x: np.ndarray, acts) -> np.ndarray:
     return (h @ w + b).ravel()
 
 
-def _attack_inputs(theta: WeightVector, omega: WeightVector, dataset: Dataset, picks) -> np.ndarray:
-    """Rows [output vector | one-hot label] of the model on dataset[picks]."""
-    probs = predict_from_representations(omega, encode(theta, dataset.features[picks]))
-    if probs.shape[1] != dataset.num_classes:
-        raise ValueError("model output width does not match the dataset's num_classes")
-    return np.hstack([probs, one_hot(dataset.labels[picks], dataset.num_classes)])
+def _balanced_inputs(theta: WeightVector, omega: WeightVector, members: Dataset, nonmembers: Dataset,
+                     size: int, seed: int) -> list[np.ndarray]:
+    """Rows [output vector | one-hot label] of the model on size records of
+    each set, drawn seeded and without replacement: members, then non-members."""
+    rows = []
+    for dataset, stream_index in ((members, _STREAM_IN), (nonmembers, _STREAM_OUT)):
+        picks = RngStream(seed, stream_index).permutation(len(dataset))[:size]
+        probs = predict_from_representations(omega, encode(theta, dataset.features[picks]))
+        if probs.shape[1] != dataset.num_classes:
+            raise ValueError("model output width does not match the dataset's num_classes")
+        rows.append(np.hstack([probs, one_hot(dataset.labels[picks], dataset.num_classes)]))
+    return rows
 
 
 def check_attack_partitions(in_set: Dataset, out_set: Dataset, pairs: int) -> None:
@@ -184,17 +190,10 @@ def build_attack_dataset(
     Sampling is seeded and without replacement within each partition.
     """
     check_attack_partitions(in_set, out_set, pairs)
-    half = pairs // 2
     c = in_set.num_classes
-    records: list[AttackRecord] = []
-    for dataset, stream_index, membership in (
-        (in_set, _STREAM_IN, 1),
-        (out_set, _STREAM_OUT, 0),
-    ):
-        picks = RngStream(seed, stream_index).permutation(len(dataset))[:half]
-        for row in _attack_inputs(shadow_theta, shadow_omega, dataset, picks):
-            records.append(AttackRecord(row[:c], row[c:], membership))
-    return records
+    members, nonmembers = _balanced_inputs(shadow_theta, shadow_omega, in_set, out_set, pairs // 2, seed)
+    return [AttackRecord(row[:c], row[c:], membership)
+            for rows, membership in ((members, 1), (nonmembers, 0)) for row in rows]
 
 
 def _descend(w, b, grad: np.ndarray, h_in: np.ndarray, gz: np.ndarray, lr: np.float32) -> None:
@@ -279,13 +278,8 @@ def attack_accuracy(
     if len(members) == 0 or len(nonmembers) == 0:
         raise ValueError("evaluation sets must be nonempty")
     size = min(len(members), len(nonmembers))
-    picks_in = RngStream(seed, _STREAM_IN).permutation(len(members))[:size]
-    picks_out = RngStream(seed, _STREAM_OUT).permutation(len(nonmembers))[:size]
     omega = victim.omega_noisy if use_protected_outputs else victim.omega_clean
-    x = np.concatenate([
-        _attack_inputs(victim.theta, omega, members, picks_in),
-        _attack_inputs(victim.theta, omega, nonmembers, picks_out),
-    ], dtype=np.float32)
+    x = np.concatenate(_balanced_inputs(victim.theta, omega, members, nonmembers, size, seed), dtype=np.float32)
     if x.shape[1] != 2 * classifier.num_classes:
         raise ValueError("victim output width does not match the classifier")
     acts = [np.empty((len(x), w.shape[1]), dtype=np.float32) for w, _ in classifier.layers[:-1]]

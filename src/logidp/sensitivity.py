@@ -10,14 +10,13 @@ exactly zero.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 # annotations only: a module-level Callable alias would pin each import's classes in typing's caches
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from .mechanisms import MechanismKind, NormKind, Sensitivity
 from .pipeline import Dataset, TrainConfig, finetune_head
 from .rng import RngStream
 from .weights import WeightVector
@@ -54,6 +53,10 @@ class SensitivityEstimate:
         if self.delta_l2 != max(l2 for _, l2 in norms):
             raise ValueError("delta_l2 must be the max of the per-pair l2 norms")
 
+    def for_mechanism(self, kind: MechanismKind) -> Sensitivity:
+        """The estimated max in the norm kind calibrates against."""
+        return Sensitivity(kind.norm, self.delta_l1 if kind.norm is NormKind.L1 else self.delta_l2)
+
 
 def sensitivity_index_pairs(n: int, m: int, seed: int) -> np.ndarray:
     """m (i, j) pairs drawn uniformly from [0, n); a prefix-stable stream,
@@ -63,34 +66,6 @@ def sensitivity_index_pairs(n: int, m: int, seed: int) -> np.ndarray:
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     return RngStream(seed, 0).indices(2 * m, n).reshape(m, 2)
-
-
-def _pair_norms(pairs: np.ndarray, fit: Callable[[list[int]], Sequence[WeightVector]]):
-    dropped = list(dict.fromkeys(int(i) for i in pairs.ravel()))
-    heads = {i: head.values for i, head in zip(dropped, fit(dropped))}
-    norms = []
-    for i, j in pairs:
-        diff = heads[int(i)] - heads[int(j)]
-        norms.append((float(np.abs(diff).sum()), float(np.sqrt(diff @ diff))))
-    return tuple(norms)
-
-
-def _loo_fitter(theta: WeightVector, d: Dataset, cfg: TrainConfig, trainer: Callable[[Dataset], WeightVector] | None):
-    """A function fitting the heads that leave out each given index, in order:
-    batched head fine-tuning, or trainer once per index."""
-    if trainer is None:
-        return lambda dropped: finetune_head(theta, d, cfg, leave_out=dropped)
-    return lambda dropped: [trainer(d.without_index(i)) for i in dropped]
-
-
-def _finish(norms, m: int, seed: int) -> SensitivityEstimate:
-    return SensitivityEstimate(
-        delta_l1=max(l1 for l1, _ in norms),
-        delta_l2=max(l2 for _, l2 in norms),
-        m=m,
-        seed=seed,
-        per_pair_norms=norms,
-    )
 
 
 def sample_sensitivity(
@@ -121,7 +96,17 @@ def sample_sensitivity(
             raise ValueError(f"pairs must have shape ({m}, 2), got {pairs.shape}")
         if pairs.size and (pairs.min() < 0 or pairs.max() >= len(d)):
             raise ValueError("pair indices out of range")
-    return _finish(_pair_norms(pairs, _loo_fitter(theta, d, cfg, trainer)), m, seed)
+    dropped = list(dict.fromkeys(int(i) for i in pairs.ravel()))
+    if trainer is None:
+        fits = finetune_head(theta, d, cfg, leave_out=dropped)
+    else:
+        fits = [trainer(d.without_index(i)) for i in dropped]
+    heads = {i: head.values for i, head in zip(dropped, fits)}
+    norms = []
+    for i, j in pairs:
+        diff = heads[int(i)] - heads[int(j)]
+        norms.append((float(np.abs(diff).sum()), float(np.sqrt(diff @ diff))))
+    return SensitivityEstimate(max(l1 for l1, _ in norms), max(l2 for _, l2 in norms), m, seed, tuple(norms))
 
 
 def brute_force_sensitivity(
@@ -130,47 +115,12 @@ def brute_force_sensitivity(
     cfg: TrainConfig,
     trainer: Callable[[Dataset], WeightVector] | None = None,
 ) -> SensitivityEstimate:
-    """Exact max over all ordered leave-one-out pairs: |d| fits, one per
-    dropped record, but |d|^2 pair norms are kept, hence the size guard.
-    The recorded seed is 0 (nothing is sampled)."""
+    """Exact max over all ordered leave-one-out pairs: the sampler over all
+    |d|^2 pairs, recorded with seed 0 (nothing is sampled). That is |d| fits,
+    but |d|^2 pair norms are kept, hence the size guard."""
     n = len(d)
-    if n < 2:
-        raise ValueError(f"need at least 2 records, got {n}")
     if n > BRUTE_FORCE_MAX_RECORDS:
         raise ValueError(f"brute force is limited to {BRUTE_FORCE_MAX_RECORDS} records, got {n}")
     grid = np.arange(n)
     pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-    return _finish(_pair_norms(pairs, _loo_fitter(theta, d, cfg, trainer)), n * n, 0)
-
-
-def _from_json_dict(cls, obj, **blocks):
-    """cls(**obj), so the constructor's own checks validate every document
-    read. blocks maps a field to the reader of its nested block. A missing
-    or unknown key raises ValueError naming it."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(obj) - {f.name for f in fields})
-    if unknown:
-        raise ValueError(f"{cls.__name__} has no field {unknown[0]!r}")
-    for f in fields:
-        if f.name not in obj and f.default is f.default_factory is dataclasses.MISSING:
-            raise ValueError(f"{cls.__name__} is missing field {f.name!r}")
-    values = {}
-    for name, value in obj.items():
-        try:
-            values[name] = blocks[name](value) if name in blocks else value
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
-    return cls(**values)
-
-
-def save_estimate(est: SensitivityEstimate, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dataclasses.asdict(est), fh, indent=2)
-        fh.write("\n")
-
-
-def load_estimate(path) -> SensitivityEstimate:
-    with open(path) as fh:
-        return _from_json_dict(SensitivityEstimate, json.load(fh))
+    return sample_sensitivity(theta, d, cfg, n * n, 0, trainer, pairs=pairs)

@@ -19,6 +19,7 @@ from logidp.experiments import (
     SyntheticDataSpec,
     config_to_json_dict,
     emit_report,
+    estimate_from_json_dict,
     load_report,
 )
 from logidp.mechanisms import (
@@ -31,7 +32,7 @@ from logidp.mechanisms import (
 from logidp.pipeline import Dataset, TrainConfig, pretrain_encoder, save_dataset_csv
 from logidp.protection import load_protected_release
 from logidp.rng import RngStream
-from logidp.sensitivity import load_estimate, sample_sensitivity
+from logidp.sensitivity import sample_sensitivity
 
 
 DATA = SyntheticDataSpec(
@@ -114,7 +115,7 @@ class TestSensitivity:
     def test_estimate_matches_direct_call(self, config_path, tmp_path):
         out = tmp_path / "est.json"
         assert main(["sensitivity", "--config", str(config_path), "--out", str(out)]) == 0
-        est = load_estimate(out)
+        est = estimate_from_json_dict(json.loads(out.read_text()))
         splits = DATA.load()
         theta = pretrain_encoder(splits["pretrain"], PRE)
         direct = sample_sensitivity(theta, splits["finetune"], FINE, 8, 44)
@@ -436,9 +437,10 @@ class TestSharedStages:
         report = json.loads(report_json.read_text())
         sens = tmp_path / "sens.json"
         assert main(["sensitivity", "--config", str(config_path), "--out", str(sens)]) == 0
-        block = dict(report["sensitivity"])
-        assert block.pop("kind") == "sampled"
-        assert json.loads(sens.read_text()) == block
+        block = report["sensitivity"]
+        assert block["kind"] == "sampled"
+        # the JSON report's writer: sorted keys, two-space indent
+        assert sens.read_text() == json.dumps(block, indent=2, sort_keys=True) + "\n"
 
         budget = ["--config", str(config_path), "--mechanism", "gaussian", "--epsilon", "2.0"]
         assert main(["protect", *budget, "--out", str(tmp_path / "release")]) == 0

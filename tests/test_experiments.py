@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
-from logidp.mechanisms import MechanismKind, MechanismSpec, NormKind, Sensitivity, budget_for_scale
+from logidp.mechanisms import (
+    MechanismKind,
+    MechanismSpec,
+    NormKind,
+    PrivacyBudget,
+    Sensitivity,
+    budget_for_scale,
+    scale_for_budget,
+)
 from logidp.mia import AttackClassifierConfig
 from logidp.pipeline import TrainConfig, save_dataset_csv
 from logidp.experiments import (
@@ -18,6 +26,7 @@ from logidp.experiments import (
     SweepReport,
     SweepRow,
     SyntheticDataSpec,
+    check_calibration,
     config_from_json_dict,
     config_to_json_dict,
     emit_averaged,
@@ -220,6 +229,25 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=message):
             run_sweep(small_config(**overrides))
         assert calls == []
+
+    @pytest.mark.parametrize("kind, norm, delta, message", [
+        (MechanismKind.LOGISTIC, NormKind.L2, 0.0, "logistic mechanism needs l1 sensitivity, got l2"),
+        (MechanismKind.LAPLACE, NormKind.L2, 0.0, "laplace mechanism needs l1 sensitivity, got l2"),
+        (MechanismKind.GAUSSIAN, NormKind.L1, 1e-5, "gaussian mechanism needs l2 sensitivity, got l1"),
+    ])
+    def test_wrong_norm_message_same_on_every_path(self, kind, norm, delta, message):
+        sens = Sensitivity(norm, 0.5)
+        calls = (
+            lambda: scale_for_budget(kind, PrivacyBudget(1.0, delta), sens),
+            lambda: budget_for_scale(MechanismSpec(kind, 1.0, delta), sens),
+            lambda: check_calibration(small_config(mechanisms=(kind,), sensitivity=sens, delta=1e-5), [kind]),
+        )
+        messages = []
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.append(str(exc.value))
+        assert messages == [message] * 3
 
     def test_fixed_sensitivity_drives_scales(self):
         cfg = small_config(

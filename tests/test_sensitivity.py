@@ -7,15 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import logidp.pipeline
 import logidp.sensitivity
+from logidp.experiments import _from_json_dict, emit_estimate, estimate_from_json_dict
 from logidp.pipeline import Dataset, TrainConfig, make_synthetic_dataset, pretrain_encoder
 from logidp.sensitivity import (
     BRUTE_FORCE_MAX_RECORDS,
     SensitivityEstimate,
     brute_force_sensitivity,
-    _from_json_dict,
-    load_estimate,
     sample_sensitivity,
-    save_estimate,
     sensitivity_index_pairs,
 )
 from logidp.weights import WeightVector
@@ -245,8 +243,8 @@ class TestSerialization:
         d = exact_mean_dataset(5, 4, seed=8)
         est = sample_sensitivity(DUMMY_THETA, d, TrainConfig(), 7, 99, trainer=mean_trainer)
         path = tmp_path / "est.json"
-        save_estimate(est, path)
-        assert load_estimate(path) == est
+        emit_estimate(est, path)
+        assert estimate_from_json_dict(json.loads(path.read_text())) == est
 
     @settings(max_examples=200, deadline=None)
     @given(
