@@ -68,6 +68,7 @@ class MechanismSpec:
     delta: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", MechanismKind(self.kind))
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         _check_delta(self.kind, self.delta)
@@ -118,6 +119,7 @@ def scale_for_budget(kind: MechanismKind, budget: PrivacyBudget, sens: Sensitivi
     logistic/laplace: scale = sensitivity / epsilon (pure epsilon-DP);
     gaussian: sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon.
     """
+    kind = MechanismKind(kind)
     sens = sens.for_mechanism(kind)
     _check_delta(kind, budget.delta)
     scale = (sens.value * _noise_factor(kind, budget.delta)) / budget.epsilon

@@ -8,7 +8,9 @@ numpy expression over seeded draws, so identical inputs give bitwise-identical
 weights; the sensitivity sampler depends on that. Softmax logits are laid out
 class-major, (classes, records), because numpy reduces a short contiguous
 class axis one record at a time but reduces across rows in a few vectorised
-passes; the class sum keeps numpy's pairwise order, so the bytes do not change.
+passes. The class sum is numpy's own over that axis, so classes add in index
+order, ((z0 + z1) + z2) + ..., except for a single record, whose classes form
+one contiguous run that numpy sums pairwise (the same order below 8 classes).
 Leave-one-out heads train together through the same loop as a
 (heads, classes, records) stack; batched matmul makes the same BLAS call
 for each head as a fit on its own, so each head keeps its bytes. Stacks of
@@ -118,15 +120,6 @@ class Dataset:
         return self.subset(keep)
 
 
-def save_dataset_csv(dataset: Dataset, path) -> None:
-    """Header row f0..f{d-1},label; floats as repr so the round trip is exact."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dataset.feature_dim)] + ["label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
 def load_dataset_csv(path, num_classes: int | None = None) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -197,48 +190,12 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
-# numpy sums a contiguous run of values pairwise in blocks of this many.
-_PAIRWISE_BLOCK = 128
-
-
-def _class_sum(e: np.ndarray) -> np.ndarray:
-    """Sums over the class axis (-2) of a (..., classes, n) array, added in
-    the order numpy's pairwise sum adds one contiguous run of classes, so
-    that each (classes, n) slice sums byte-equal to the row-major
-    e.T.sum(axis=1): fewer than 8 classes add one by one; up to a block, 8
-    strided accumulators combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    before the leftover classes; a longer run splits at a multiple of 8
-    near its middle."""
-    c = e.shape[-2]
-    if c < 8:
-        s = e[..., 0, :].copy()
-        for i in range(1, c):
-            s += e[..., i, :]
-        return s
-    if c <= _PAIRWISE_BLOCK:
-        stop = c - c % 8
-        r = e[..., :8, :]
-        if stop > 8:
-            r = r.copy()
-            for i in range(8, stop, 8):
-                r += e[..., i : i + 8, :]
-        r = r[..., 0::2, :] + r[..., 1::2, :]
-        r = r[..., 0::2, :] + r[..., 1::2, :]
-        s = r[..., 0, :] + r[..., 1, :]
-        for i in range(stop, c):
-            s += e[..., i, :]
-        return s
-    half = c // 2
-    half -= half % 8
-    return _class_sum(e[..., :half, :]) + _class_sum(e[..., half:, :])
-
-
 def _softmax_inplace(z: np.ndarray) -> np.ndarray:
     """Softmax over the class axis (-2) of a contiguous (..., classes, n)
     array, in place."""
     z -= z.max(axis=-2, keepdims=True)
     np.exp(z, out=z)
-    z /= _class_sum(z)[..., None, :]
+    z /= z.sum(axis=-2, keepdims=True)
     return z
 
 
@@ -252,7 +209,7 @@ def _cross_entropy(logits_t: np.ndarray, labels: np.ndarray) -> float:
     z = logits_t - logits_t.max(axis=0)
     picked = z[labels, np.arange(len(labels))]
     np.exp(z, out=z)
-    return float(np.mean(np.log(_class_sum(z)) - picked))
+    return float(np.mean(np.log(z.sum(axis=0)) - picked))
 
 
 def _uniform_init(stream: RngStream, count: int, init_scale: float) -> np.ndarray:
@@ -479,8 +436,7 @@ def _fit_heads(reps: np.ndarray, labels: np.ndarray, init: np.ndarray, cfg: Trai
         np.matmul(w_t, reps_t, out=z)
         _softmax_inplace(z)
         z_flat[label_at] -= 1.0
-        z /= n
-        w -= lr * (reps.swapaxes(1, 2) @ z_t + wd * w)
+        w -= lr * ((reps.swapaxes(1, 2) @ z_t) / n + wd * w)
     if not np.all(np.isfinite(w)):
         raise ValueError("fine-tuned head is not finite; the encoder overflowed or training diverged")
     tag = _head_tag(hidden, c)
@@ -497,13 +453,14 @@ def head_loss(theta: WeightVector, dataset: Dataset, omega: WeightVector) -> flo
 
 
 def head_loss_gradient(theta: WeightVector, dataset: Dataset, omega: WeightVector) -> np.ndarray:
-    """Analytic gradient of head_loss in omega's flat layout."""
+    """Analytic gradient of head_loss in omega's flat layout, the same bytes
+    as the cross-entropy term of a finetune_head step at omega."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     w = _unflatten_head(omega)
     reps = encode(theta, dataset.features)
-    g = (_softmax(reps @ w) - one_hot(dataset.labels, dataset.num_classes)) / len(dataset)
-    return (reps.T @ g).ravel()
+    g = _softmax(reps @ w) - one_hot(dataset.labels, dataset.num_classes)
+    return ((reps.T @ g) / len(dataset)).ravel()
 
 
 def accuracy(predictions, labels) -> float:

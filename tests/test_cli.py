@@ -29,10 +29,12 @@ from logidp.mechanisms import (
     Sensitivity,
     sample_noise,
 )
-from logidp.pipeline import Dataset, TrainConfig, pretrain_encoder, save_dataset_csv
+from logidp.pipeline import Dataset, TrainConfig, pretrain_encoder
 from logidp.protection import load_protected_release
 from logidp.rng import RngStream
 from logidp.sensitivity import sample_sensitivity
+
+from dataset_csv import save_dataset_csv
 
 
 DATA = SyntheticDataSpec(

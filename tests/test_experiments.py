@@ -17,7 +17,7 @@ from logidp.mechanisms import (
     scale_for_budget,
 )
 from logidp.mia import AttackClassifierConfig
-from logidp.pipeline import TrainConfig, save_dataset_csv
+from logidp.pipeline import TrainConfig
 from logidp.experiments import (
     AveragedRow,
     CsvDataSpec,
@@ -38,6 +38,9 @@ from logidp.experiments import (
     trend_statistics,
     utility_loss,
 )
+
+from dataset_csv import save_dataset_csv
+
 
 DATA = SyntheticDataSpec(
     num_classes=5, per_class=60, feature_dim=8, cluster_spread=0.8, seed=31,

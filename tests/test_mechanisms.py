@@ -15,9 +15,10 @@ from logidp.mechanisms import (
     log_ratio_bound_check,
     multivariate_log_ratio_check,
     ratio_probe_grid,
+    sample_noise,
     scale_for_budget,
 )
-from logidp.noise import logistic_pdf, LogisticParams
+from logidp.noise import logistic_pdf, LogisticParams, sample_logistic
 from logidp.rng import RngStream
 
 L1 = Sensitivity(NormKind.L1, 1.0)
@@ -49,6 +50,20 @@ class TestSpecValidation:
     def test_sensitivity_validation(self):
         with pytest.raises(ValueError):
             Sensitivity(NormKind.L1, -0.1)
+
+    def test_kind_given_by_name_is_coerced(self):
+        spec = MechanismSpec("logistic", 1.0)
+        assert spec.kind is MechanismKind.LOGISTIC
+        assert spec == MechanismSpec(MechanismKind.LOGISTIC, 1.0)
+        assert MechanismSpec("gaussian", 1.0, 1e-5).kind is MechanismKind.GAUSSIAN
+        with pytest.raises(ValueError, match="gaussian mechanism needs delta"):
+            MechanismSpec("gaussian", 1.0)
+        with pytest.raises(ValueError, match="'cauchy' is not a valid MechanismKind"):
+            MechanismSpec("cauchy", 1.0)
+
+    def test_noise_of_a_spec_built_by_name_is_its_kind(self):
+        draws = sample_noise(MechanismSpec("logistic", 0.5), RngStream(1), 40)
+        assert draws.tobytes() == sample_logistic(RngStream(1), LogisticParams(0.0, 0.5), 40).tobytes()
 
 
 class TestBudgetConversion:
@@ -115,6 +130,14 @@ class TestBudgetConversion:
             for eps in [0.25, 0.5, 1.0, 2.0, 4.0]
         ]
         assert all(a > b for a, b in zip(scales, scales[1:]))
+
+    def test_scale_for_budget_takes_a_kind_by_name(self):
+        for kind in MechanismKind:
+            budget = PrivacyBudget(0.5, 1e-5 if kind is MechanismKind.GAUSSIAN else 0.0)
+            sens = L2 if kind is MechanismKind.GAUSSIAN else L1
+            assert scale_for_budget(kind.value, budget, sens) == scale_for_budget(kind, budget, sens)
+        with pytest.raises(ValueError, match="'cauchy' is not a valid MechanismKind"):
+            scale_for_budget("cauchy", PrivacyBudget(1.0), L1)
 
     def test_norm_mismatch_errors(self):
         with pytest.raises(ValueError):

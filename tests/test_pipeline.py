@@ -13,11 +13,11 @@ from logidp.pipeline import (
     PSEUDO_TASK_CLASSES,
     TrainConfig,
     _STREAM_INIT,
-    _class_sum,
     _cross_entropy,
     _head_init,
     _pseudo_task_data,
     _softmax,
+    _softmax_inplace,
     _uniform_init,
     accuracy,
     encode,
@@ -30,12 +30,12 @@ from logidp.pipeline import (
     predict,
     predict_from_representations,
     pretrain_encoder,
-    save_dataset_csv,
 )
 from logidp.rng import RngStream
 from logidp.weights import WeightVector
 
 from blas_threads import stdout_by_thread_count
+from dataset_csv import save_dataset_csv
 
 
 # Reference trainers: the row-major (records x classes) softmax, loss, head
@@ -43,15 +43,27 @@ from blas_threads import stdout_by_thread_count
 # bit.
 
 
+def reference_class_sum(e: np.ndarray) -> np.ndarray:
+    """Per-record sums of (records, classes) values, classes added in index
+    order. A single record's classes are one contiguous run, which numpy
+    sums pairwise whatever the layout, so that record's sum is numpy's."""
+    if len(e) == 1:
+        return e.sum(axis=1)
+    s = e[:, 0].copy()
+    for j in range(1, e.shape[1]):
+        s += e[:, j]
+    return s
+
+
 def reference_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / reference_class_sum(e)[:, None]
 
 
 def reference_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
+    logsumexp = np.log(reference_class_sum(np.exp(z)))
     return float(np.mean(logsumexp - z[np.arange(len(labels)), labels]))
 
 
@@ -67,8 +79,7 @@ def reference_finetune_head(theta, dataset, cfg):
     for _ in range(cfg.epochs):
         logits = reps @ w
         losses.append(reference_cross_entropy(logits, dataset.labels))
-        g = (reference_softmax(logits) - yy) / n
-        w -= lr * (reps.T @ g + wd * w)
+        w -= lr * ((reps.T @ (reference_softmax(logits) - yy)) / n + wd * w)
     losses.append(reference_cross_entropy(reps @ w, dataset.labels))
     return w.ravel(), np.array(losses)
 
@@ -343,8 +354,8 @@ class TestFinetune:
         losses = [head_loss(theta, ten_class, omega) for omega in fits]
         assert np.all(np.diff(losses) <= 0)
 
-    # 1-7 classes take the sequential class sum, 8-17 the 8-accumulator
-    # one with and without leftover classes, 25 several blocks of 8.
+    # one record sums its classes pairwise from 8 classes up, 420 records
+    # in index order
     @pytest.mark.parametrize("num_classes", [1, 4, 7, 8, 10, 16, 17, 25])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.03])
     @pytest.mark.parametrize("records", [1, 420])
@@ -358,15 +369,15 @@ class TestFinetune:
         assert omega.values.tobytes() == want.tobytes()
         assert head_loss(theta, data, omega) == want_losses[-1]
         reps = encode(theta, data.features)
-        g = (reference_softmax(reps @ omega.values.reshape(8, -1)) - one_hot(data.labels, num_classes)) / records
-        assert head_loss_gradient(theta, data, omega).tobytes() == (reps.T @ g).ravel().tobytes()
+        g = reference_softmax(reps @ omega.values.reshape(8, -1)) - one_hot(data.labels, num_classes)
+        assert head_loss_gradient(theta, data, omega).tobytes() == ((reps.T @ g) / records).ravel().tobytes()
 
 
 class TestLeaveOneOutHeads:
     @settings(max_examples=60, deadline=None)
     @given(
-        # 1-7, 8-15 and 16+ classes take the three class-sum branches; 128+
-        # split past numpy's pairwise block
+        # two records leave one-record heads, whose class sums are pairwise;
+        # 128+ classes split past numpy's pairwise block
         classes=st.one_of(st.integers(1, 40), st.sampled_from([128, 129, 136])),
         records=st.integers(2, 40),
         weight_decay=st.sampled_from([0.0, 0.03]),
@@ -584,13 +595,14 @@ class TestClassMajorSoftmax:
         classes=st.one_of(st.integers(1, 40), st.sampled_from([128, 129, 136, 300])),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_stacked_class_sum_byte_equal_to_row_major(self, heads, records, classes, seed):
+    def test_stacked_softmax_byte_equal_to_reference_per_head(self, heads, records, classes, seed):
+        # the (heads, classes, records) softmax that _fit_heads steps on
         rng = np.random.default_rng(seed)
-        e = rng.random((heads, classes, records)) * 10.0 ** rng.uniform(-8.0, 8.0, (heads, classes, records))
-        sums = _class_sum(e)
-        assert sums.shape == (heads, records)
+        logits = rng.normal(size=(heads, classes, records)) * 10.0 ** rng.uniform(-3.0, 3.0, (heads, classes, records))
+        probs = _softmax_inplace(logits.copy())
         for j in range(heads):
-            assert sums[j].tobytes() == np.ascontiguousarray(e[j].T).sum(axis=1).tobytes()
+            want = reference_softmax(np.ascontiguousarray(logits[j].T))
+            assert np.ascontiguousarray(probs[j].T).tobytes() == want.tobytes()
 
 
 class TestPredict:
@@ -657,6 +669,15 @@ class TestHeadLossGradient:
                 assert rel < 1e-5
                 probes += 1
         assert probes == 100
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.03])
+    def test_one_finetune_epoch_steps_on_this_gradient(self, trained, ten_class, weight_decay):
+        theta, _ = trained
+        lr = 0.5
+        init = finetune_head(theta, ten_class, TrainConfig(epochs=1, learning_rate=0.0, seed=5)).values
+        omega = finetune_head(theta, ten_class, TrainConfig(epochs=1, learning_rate=lr, seed=5, weight_decay=weight_decay))
+        grad = head_loss_gradient(theta, ten_class, WeightVector(init, omega.shape_tag))
+        assert omega.values.tobytes() == (init - lr * (grad + weight_decay * init)).tobytes()
 
     def test_gradient_zero_at_separable_optimum_direction(self, trained, ten_class):
         # scaling a perfectly-separating head grows confidence, so the loss
