@@ -36,6 +36,7 @@ from .mechanisms import MechanismKind, MechanismSpec, sample_noise
 from .mia import attack_accuracy
 from .protection import export_protected_model, protect_existing
 from .rng import RngStream, derive_seed
+from .weights import write_json
 
 
 def _load_config(path: str, seed_override: int | None):
@@ -118,9 +119,7 @@ def _cmd_attack(args) -> None:
     }
     if args.epsilon is not None:
         result["epsilon"] = args.epsilon
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(result, args.out)
 
 
 def _cmd_sweep(args) -> None:

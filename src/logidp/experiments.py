@@ -49,7 +49,7 @@ from .pipeline import (
 from .protection import protect_existing
 from .rng import derive_seed
 from .sensitivity import SensitivityEstimate, sample_sensitivity
-from .weights import WeightVector
+from .weights import WeightVector, write_json
 
 _SPLIT_NAMES = ("pretrain", "finetune", "holdout", "shadow_in", "shadow_out")
 
@@ -294,7 +294,8 @@ def resolve_sensitivity(cfg: SweepConfig, theta: WeightVector, splits) -> Sensit
 
 
 def train_auditor(cfg: SweepConfig, theta: WeightVector, splits) -> AttackClassifier:
-    """Shadow head on shadow_in, then the membership classifier on its outputs."""
+    """Shadow head on shadow_in, then the membership classifier on its outputs
+    for shadow_in and shadow_out; no victim record enters."""
     shadow_cfg = dataclasses.replace(
         cfg.finetune, seed=derive_seed(cfg.master_seed, "shadow-head")
     )
@@ -419,8 +420,8 @@ def trend_statistics(report: SweepReport) -> dict[MechanismKind, TrendStats]:
 # --- serialization ---------------------------------------------------------
 # Each dataclass is its own JSON schema: dataclasses.asdict writes it and
 # _from_json_dict reads it back through its constructor. A tagged union is a
-# (tag key, {tag: class}) pair. Reports and estimates share _write_json, so
-# an estimate file reads exactly as a report's sensitivity block.
+# (tag key, {tag: class}) pair. Every document goes through write_json, so an
+# estimate file reads exactly as a report's sensitivity block.
 
 def _from_json_dict(cls, obj, **blocks):
     """cls(**obj), so the constructor's own checks validate every document
@@ -442,12 +443,6 @@ def _from_json_dict(cls, obj, **blocks):
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
     return cls(**values)
-
-
-def _write_json(obj, path) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"  # a failed dump leaves no file
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 _DATASET = ("type", {"synthetic": SyntheticDataSpec, "csv": CsvDataSpec})
@@ -493,7 +488,7 @@ def estimate_from_json_dict(obj) -> SensitivityEstimate | Sensitivity:
 
 def emit_estimate(estimate: SensitivityEstimate | Sensitivity, path) -> None:
     """The estimate as JSON, exactly as a JSON report's sensitivity block."""
-    _write_json(_to_tagged(_ESTIMATE, estimate), path)
+    write_json(_to_tagged(_ESTIMATE, estimate), path)
 
 
 def report_to_json_dict(report: SweepReport) -> dict:
@@ -549,7 +544,7 @@ def _ordered_rows(report: SweepReport):
 def emit_report(report: SweepReport, path, format: str = "csv") -> None:
     """CSV: header plus one deterministic line per row; JSON: full report."""
     if format == "json":
-        _write_json(report_to_json_dict(report), path)
+        write_json(report_to_json_dict(report), path)
     elif format == "csv":
         with open(path, "w") as fh:
             fh.write(_csv_text("repeat_index", _ordered_rows(report)))

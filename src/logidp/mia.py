@@ -8,8 +8,9 @@ queries the classifier gets right at threshold 0.5; 0.5 is random guessing.
 The MLP trains and scores in float32, as attack models usually do; the
 release path (noise, calibration, sensitivity, encoder, heads) stays float64.
 
-Records carry a provenance tag so the trainer can refuse victim-derived
-records: the classifier must only ever see shadow outputs.
+The classifier sees shadow outputs only, by construction: train_auditor in
+experiments builds its records from the shadow splits alone, and the victim
+is only ever scored, never trained on.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .protection import ProtectedModel
 from .rng import RngStream
 from .weights import WeightVector
 
-SHADOW_SOURCE = "shadow"
-VICTIM_SOURCE = "victim"
-
 _STREAM_IN = 0
 _STREAM_OUT = 1
 
@@ -38,7 +36,6 @@ class AttackRecord:
     output_vector: np.ndarray
     label_onehot: np.ndarray
     membership: int
-    source: str = SHADOW_SOURCE
 
     def __post_init__(self):
         out = np.asarray(self.output_vector, dtype=np.float64).copy()
@@ -56,8 +53,6 @@ class AttackRecord:
             raise ValueError("label_onehot must have exactly one entry equal to 1")
         if self.membership not in (0, 1):
             raise ValueError(f"membership must be 0 or 1, got {self.membership}")
-        if self.source not in (SHADOW_SOURCE, VICTIM_SOURCE):
-            raise ValueError(f"unknown record source {self.source!r}")
 
     @property
     def num_classes(self) -> int:
@@ -210,14 +205,12 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
 
     Input is the concatenated (output vector, one-hot label); hidden stack is
     cfg.hidden_layers ReLU layers of cfg.hidden_width; output is one sigmoid
-    unit. Deterministic given cfg.seed. Refuses victim-tagged records, and
-    raises ValueError at the first non-finite logit of a diverging run.
+    unit. Deterministic given cfg.seed. Raises ValueError at the first
+    non-finite logit of a diverging run.
     """
     records = list(records)
     if not records:
         raise ValueError("no attack records given")
-    if any(r.source == VICTIM_SOURCE for r in records):
-        raise ValueError("attack classifier must be trained on shadow records only")
     classes = {r.membership for r in records}
     if classes != {0, 1}:
         raise ValueError("attack training set must contain both members and non-members")

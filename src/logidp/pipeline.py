@@ -47,10 +47,10 @@ class TrainConfig:
     """Hyper-parameters for either training stage.
 
     hidden_dims feeds the encoder, whose one entry is the hidden width; the
-    head ignores it. epochs=0 and learning_rate=0 are constructible so the
-    zero-step behavior is testable, but both trainers insist on epochs >= 1.
-    weight_decay adds lr * weight_decay * w to each update (an L2 pull toward
-    zero); it damps how far any single record can drag the trained weights.
+    head ignores it. epochs must be >= 1; learning_rate=0 is allowed, and a
+    fit at it returns its initialization. weight_decay adds
+    lr * weight_decay * w to each update (an L2 pull toward zero); it damps
+    how far any single record can drag the trained weights.
     """
 
     hidden_dims: tuple[int, ...] = (8,)
@@ -64,8 +64,8 @@ class TrainConfig:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden widths must be positive, got {self.hidden_dims}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
@@ -249,8 +249,6 @@ def pretrain_encoder(dataset: Dataset, cfg: TrainConfig) -> WeightVector:
     """
     if len(dataset) == 0:
         raise ValueError("pretraining dataset is empty")
-    if cfg.epochs < 1:
-        raise ValueError("training needs epochs >= 1")
     if len(cfg.hidden_dims) != 1:
         raise ValueError(f"hidden_dims must hold exactly one encoder width, got {cfg.hidden_dims}")
     d, h, k = dataset.feature_dim, cfg.hidden_dims[0], PSEUDO_TASK_CLASSES
@@ -411,8 +409,6 @@ def _fit_start(theta: WeightVector, dataset: Dataset, records: int, cfg: TrainCo
     """Checks a fit on `records` records and draws its head init."""
     if records == 0:
         raise ValueError("fine-tuning dataset is empty")
-    if cfg.epochs < 1:
-        raise ValueError("training needs epochs >= 1")
     return _head_init(_unflatten_encoder(theta)[1].size, dataset.num_classes, cfg)
 
 

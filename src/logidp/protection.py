@@ -19,7 +19,7 @@ import numpy as np
 from .mechanisms import MechanismSpec, Sensitivity, budget_for_scale, sample_noise
 from .pipeline import check_model, encode, predict_from_representations
 from .rng import RngStream
-from .weights import WeightVector, load_weights, save_weights
+from .weights import WeightVector, load_weights, save_weights, write_json
 
 _NOISE_STREAM = 0
 
@@ -58,13 +58,18 @@ def protect_existing(theta: WeightVector, omega: WeightVector, spec: MechanismSp
 
     This is the one place release noise is added. Changing spec.scale and
     calling again re-protects the same weights at a new budget without
-    another training run. A non-finite head, or weights whose length
-    contradicts their tags, raise ValueError, so they never reach a release.
+    another training run. A non-finite encoder, clean head or noisy head
+    (noise at a scale that overflows), or weights whose length contradicts
+    their tags, raise ValueError, so they never reach a release.
     """
     check_model(theta, omega)
+    if not np.all(np.isfinite(theta.values)):
+        raise ValueError("encoder weights must be finite")
     if not np.all(np.isfinite(omega.values)):
         raise ValueError("head weights must be finite")
     noisy = WeightVector(omega.values + noise_vector(spec, noise_seed, len(omega)), omega.shape_tag)
+    if not np.all(np.isfinite(noisy.values)):
+        raise ValueError("noisy head weights must be finite; the noise overflowed")
     return ProtectedModel(theta, omega, noisy, spec, noise_seed)
 
 
@@ -73,23 +78,20 @@ def predict_protected(model: ProtectedModel, x):
     return predict_from_representations(model.omega_noisy, encode(model.theta, x))
 
 
-def export_protected_model(model: ProtectedModel, base_path, sensitivity: Sensitivity | None = None) -> dict:
+def export_protected_model(model: ProtectedModel, base_path, sensitivity: Sensitivity) -> dict:
     """Write the release files: theta, noisy head, and a JSON sidecar.
 
     Produces {base}.theta.bin, {base}.omega.bin, and {base}.json. The sidecar
-    records the mechanism kind, scale, and delta, plus the spent epsilon when
-    a sensitivity record is supplied. The clean head and the noise seed are
-    deliberately absent from all three files.
+    records the mechanism kind, scale and delta, and the epsilon the scale
+    spends at the given sensitivity, so every release states its budget. The
+    clean head and the noise seed are deliberately absent from all three
+    files.
     """
     base = str(base_path)
+    sidecar = {**dataclasses.asdict(model.spec), "epsilon": budget_for_scale(model.spec, sensitivity).epsilon}
     save_weights(model.theta, base + ".theta.bin")
     save_weights(model.omega_noisy, base + ".omega.bin")
-    sidecar = dataclasses.asdict(model.spec)
-    if sensitivity is not None:
-        sidecar["epsilon"] = budget_for_scale(model.spec, sensitivity).epsilon
-    with open(base + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar, base + ".json")
     return sidecar
 
 

@@ -1,13 +1,17 @@
-"""Flat parameter vectors with a canonical layout descriptor.
+"""Flat parameter vectors with a canonical layout descriptor, and the one
+writer of JSON documents.
 
 Flattening order is fixed: layer by layer, each weight matrix in row-major
 order followed by its bias vector. The shape_tag records the layout (for
 example "encoder:in=32,hidden=8"); two vectors are norm-comparable only when
-their tags match.
+their tags match. Every JSON file the library writes (report, sensitivity
+estimate, release sidecar, attack result) goes through write_json, so all
+share one text layout.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,3 +71,10 @@ def load_weights(path) -> WeightVector:
             raise ValueError(f"not a weight-vector file: {path}")
         values = np.frombuffer(fh.read(), dtype="<f8")
     return WeightVector(values, tag)
+
+
+def write_json(obj, path) -> None:
+    """obj as JSON with sorted keys, two-space indent and a final newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"  # a failed dump leaves no file
+    with open(path, "w") as fh:
+        fh.write(text)

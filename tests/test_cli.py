@@ -177,6 +177,14 @@ class TestProtect:
         assert "error: hidden_dims must hold exactly one encoder width, got (6, 16)" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_scale_writes_no_release(self, config_path, tmp_path, capsys):
+        code = main(["protect", "--config", str(config_path), "--mechanism", "logistic",
+                     "--scale", "1e308", "--out", str(tmp_path / "release")])
+        assert code == 1
+        assert "error: noisy head weights must be finite; the noise overflowed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBudgetPointChecks:
     """protect and attack refuse a bad flag or an uncalibratable mechanism,
@@ -259,6 +267,8 @@ class TestAttack:
         assert 0.0 <= result["protected_mia_accuracy"] <= 1.0
         assert 0.0 <= result["unprotected_mia_accuracy"] <= 1.0
         assert result["mechanism"] == "logistic"
+        # the one JSON layout every written document shares
+        assert out.read_text() == json.dumps(result, indent=2, sort_keys=True) + "\n"
 
     def test_deterministic(self, config_path, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -382,6 +392,19 @@ class TestSweep:
         assert "error: splits disagree on feature_dim: [6, 8]" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_zero_epochs_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("logidp.experiments.pretrain_encoder", lambda *a: calls.append(a))
+        doc = config_to_json_dict(small_config())
+        doc["finetune"]["epochs"] = 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert "error: finetune: epochs must be >= 1, got 0" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.fixture(scope="module")

@@ -82,7 +82,7 @@ def synthetic_specs(draw):
 def sweep_configs(draw):
     train = st.builds(
         TrainConfig, hidden_dims=st.lists(st.integers(1, 64), max_size=3).map(tuple),
-        epochs=st.integers(0, 10**6), learning_rate=nonnegative, seed=u64,
+        epochs=st.integers(1, 10**6), learning_rate=nonnegative, seed=u64,
         init_scale=positive, weight_decay=nonnegative,
     )
     grid = tuple(draw(st.lists(positive, min_size=1, max_size=8, unique=True)))

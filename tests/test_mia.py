@@ -156,10 +156,6 @@ class TestAttackRecord:
         with pytest.raises(ValueError):
             AttackRecord(np.array([np.inf, 0.0]), np.array([1.0, 0.0]), 1)
 
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError):
-            AttackRecord(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1, source="other")
-
     def test_arrays_read_only(self):
         r = AttackRecord(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0)
         with pytest.raises(ValueError):
@@ -219,11 +215,6 @@ class TestBuildAttackDataset:
         huge = Dataset(sh_in.features * 1e5, sh_in.labels, sh_in.num_classes)
         with pytest.raises(ValueError, match="not finite"):
             build_attack_dataset(theta, omega_shadow, huge, sh_out, 10, 3)
-
-    def test_records_are_shadow_tagged(self, shadow_setup):
-        theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
-        records = build_attack_dataset(theta, omega_shadow, sh_in, sh_out, 10, 3)
-        assert all(r.source == "shadow" for r in records)
 
     def test_outputs_come_from_the_shadow_model(self, shadow_setup):
         theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
@@ -342,18 +333,6 @@ class TestTrainAttackClassifier:
     def test_empty_error(self):
         with pytest.raises(ValueError):
             train_attack_classifier([], AttackClassifierConfig(epochs=1, seed=0))
-
-    def test_victim_records_rejected(self, separable_records):
-        tainted = separable_records[:-1] + [
-            AttackRecord(
-                separable_records[-1].output_vector,
-                separable_records[-1].label_onehot,
-                separable_records[-1].membership,
-                source="victim",
-            )
-        ]
-        with pytest.raises(ValueError):
-            train_attack_classifier(tainted, AttackClassifierConfig(epochs=1, seed=0))
 
     def test_architecture_matches_config(self, separable_records):
         cfg = AttackClassifierConfig(epochs=0, seed=1, hidden_layers=3, hidden_width=16)

@@ -204,6 +204,11 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.epochs >= 1 and cfg.learning_rate > 0
 
+    def test_zero_epochs_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"^epochs must be >= 1, got 0$"):
+            TrainConfig(epochs=0)
+        assert TrainConfig(epochs=1, learning_rate=0.0).learning_rate == 0.0
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             TrainConfig(hidden_dims=(0,))
@@ -316,8 +321,10 @@ class TestFinetune:
         cfg = TrainConfig(epochs=10, learning_rate=0.0, seed=5)
         a = finetune_head(theta, ten_class, cfg)
         b = finetune_head(theta, ten_class.subset(range(50)), cfg)
-        # no data dependence without steps, only the seeded init
+        # no data dependence without steps, only the seeded init: uniforms
+        # from stream 0 of the seed, init_scale wide
         assert a == b
+        assert a.values.tobytes() == ((2.0 * RngStream(5, 0).uniforms(len(a)) - 1.0) * cfg.init_scale).tobytes()
 
     def test_bitwise_deterministic(self, trained, ten_class):
         theta, _ = trained

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logidp.mechanisms import MechanismKind, MechanismSpec, NormKind, Sensitivity, sample_noise
+from logidp.mechanisms import MechanismKind, MechanismSpec, NormKind, Sensitivity, budget_for_scale, sample_noise
 from logidp.pipeline import TrainConfig, make_synthetic_dataset, pretrain_encoder, finetune_head, predict
 from logidp.protection import (
     ProtectedModel,
@@ -20,6 +20,7 @@ from logidp.rng import RngStream
 from logidp.weights import WeightVector, load_weights, save_weights
 
 LOG = MechanismSpec(MechanismKind.LOGISTIC, 0.5)
+SENS = Sensitivity(NormKind.L1, 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,28 @@ class TestProtectExisting:
         broken = WeightVector(values, omega.shape_tag)
         with pytest.raises(ValueError, match="head weights must be finite"):
             model = protect_existing(theta, broken, LOG, 6)
-            export_protected_model(model, tmp_path / "release")
+            export_protected_model(model, tmp_path / "release", SENS)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_encoder_never_reaches_a_release(self, small, tmp_path, bad):
+        *_, theta, omega = small
+        values = theta.values.copy()
+        values[0] = bad
+        broken = WeightVector(values, theta.shape_tag)
+        with pytest.raises(ValueError, match="encoder weights must be finite"):
+            model = protect_existing(broken, omega, LOG, 6)
+            export_protected_model(model, tmp_path / "release", SENS)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_noise_never_reaches_a_release(self, small, tmp_path):
+        # logistic draws reach |log(u / (1 - u))| > 1, so scale 1e308 overflows
+        *_, theta, omega = small
+        huge = MechanismSpec(MechanismKind.LOGISTIC, 1e308)
+        with pytest.raises(ValueError, match="noisy head weights must be finite; the noise overflowed"):
+            model = protect_existing(theta, omega, huge, 1234)
+            export_protected_model(model, tmp_path / "release", SENS)
         assert list(tmp_path.iterdir()) == []
 
     def test_reprotection_starts_from_clean(self, small):
@@ -104,7 +126,7 @@ class TestProtectExisting:
         short = WeightVector(np.zeros(7), "head:in=4,classes=10")
         with pytest.raises(ValueError, match="head weight vector length does not match its tag"):
             model = protect_existing(theta, short, LOG, 0)
-            export_protected_model(model, tmp_path / "release")
+            export_protected_model(model, tmp_path / "release", SENS)
         assert list(tmp_path.iterdir()) == []
 
     def test_mismatched_clean_noisy_rejected(self, small):
@@ -188,26 +210,37 @@ class TestExport:
         *_, theta, omega = small
         model = protect_existing(theta, omega, LOG, 30)
         base = tmp_path / "release"
-        export_protected_model(model, base)
+        export_protected_model(model, base, SENS)
         got_theta, got_omega, sidecar = load_protected_release(base)
         assert got_theta == theta
         assert got_omega == model.omega_noisy
-        assert sidecar == {"kind": "logistic", "scale": 0.5, "delta": 0.0}
+        assert sidecar == {"kind": "logistic", "scale": 0.5, "delta": 0.0, "epsilon": 2.0 / 0.5}
 
-    def test_sidecar_epsilon_present_only_with_sensitivity(self, small, tmp_path):
+    @pytest.mark.parametrize("spec, sens", [
+        (LOG, SENS),
+        (MechanismSpec(MechanismKind.LAPLACE, 0.3), Sensitivity(NormKind.L1, 0.7)),
+        (MechanismSpec(MechanismKind.GAUSSIAN, 0.9, delta=1e-5), Sensitivity(NormKind.L2, 0.4)),
+    ])
+    def test_every_sidecar_carries_epsilon(self, small, tmp_path, spec, sens):
+        *_, theta, omega = small
+        model = protect_existing(theta, omega, spec, 31)
+        returned = export_protected_model(model, tmp_path / "a", sens)
+        _, _, written = load_protected_release(tmp_path / "a")
+        assert returned == written
+        assert written["epsilon"] == budget_for_scale(spec, sens).epsilon
+
+    def test_wrong_norm_sensitivity_writes_no_file(self, small, tmp_path):
         *_, theta, omega = small
         model = protect_existing(theta, omega, LOG, 31)
-        bare = export_protected_model(model, tmp_path / "a")
-        assert "epsilon" not in bare
-        sens = Sensitivity(NormKind.L1, 2.0)
-        rich = export_protected_model(model, tmp_path / "b", sensitivity=sens)
-        assert rich["epsilon"] == pytest.approx(2.0 / 0.5)
+        with pytest.raises(ValueError, match="logistic mechanism needs l1 sensitivity, got l2"):
+            export_protected_model(model, tmp_path / "a", Sensitivity(NormKind.L2, 2.0))
+        assert list(tmp_path.iterdir()) == []
 
     def test_export_omits_clean_head_and_seed(self, small, tmp_path):
         *_, theta, omega = small
         model = protect_existing(theta, omega, LOG, 32)
         base = tmp_path / "c"
-        export_protected_model(model, base)
+        export_protected_model(model, base, SENS)
         sidecar = json.loads((tmp_path / "c.json").read_text())
         assert "noise_seed" not in sidecar
         _, got_omega, _ = load_protected_release(base)
@@ -218,7 +251,7 @@ class TestExport:
         *_, theta, omega = small
         model = protect_existing(theta, omega, LOG, 33)
         base = tmp_path / "d"
-        export_protected_model(model, base)
+        export_protected_model(model, base, SENS)
         _, got_omega, sidecar = load_protected_release(base)
         spec = MechanismSpec(MechanismKind(sidecar["kind"]), sidecar["scale"], sidecar["delta"])
         replay = omega.values + noise_vector(spec, model.noise_seed, len(omega))
