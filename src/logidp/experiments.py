@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
@@ -226,18 +227,29 @@ class AveragedRow(_GridPoint):
 
 @dataclass(frozen=True)
 class SweepReport:
+    """Per-repeat rows of a sweep: each of the config's mechanisms x grid x
+    repeats cells exactly once, in any order, or none for header-only
+    emission. A row's grid value is its epsilon, or its scale for a
+    scale_grid config."""
+
     rows: tuple[SweepRow, ...]
     sensitivity: SensitivityEstimate | Sensitivity
     config: SweepConfig
     unprotected_baseline: dict
 
     def __post_init__(self):
-        grid = self.config.epsilon_grid or self.config.scale_grid
-        expected = len(self.config.mechanisms) * len(grid) * self.config.repeats_per_point
-        # rows may be stripped to () for header-only emission; anything else
-        # must be the full mechanisms x grid x repeats block
-        if self.rows and len(self.rows) != expected:
-            raise ValueError(f"expected {expected} rows, got {len(self.rows)}")
+        if self.rows:
+            cfg = self.config
+            column, grid = (("epsilon", cfg.epsilon_grid) if cfg.epsilon_grid is not None
+                            else ("scale", cfg.scale_grid))
+            want = Counter((m, g, r) for m in cfg.mechanisms for g in grid
+                           for r in range(cfg.repeats_per_point))
+            got = Counter((row.mechanism, getattr(row, column), row.repeat_index) for row in self.rows)
+            for cells, what in ((got - want, "extra"), (want - got, "missing")):
+                if cells:
+                    m, g, r = next(iter(cells))
+                    raise ValueError(f"rows must hold each config cell once; "
+                                     f"({m.value}, {column} {g!r}, repeat {r}) is {what}")
         base = self.unprotected_baseline
         if set(base) != {"accuracy", "mia_accuracy"}:
             raise ValueError("unprotected_baseline must carry accuracy and mia_accuracy")
@@ -423,10 +435,25 @@ def trend_statistics(report: SweepReport) -> dict[MechanismKind, TrendStats]:
 # (tag key, {tag: class}) pair. Every document goes through write_json, so an
 # estimate file reads exactly as a report's sensitivity block.
 
+def _check_integers(field: dataclasses.Field, value) -> None:
+    """A field annotated int or int | None, and each entry of a
+    tuple[int, ...] field, takes a JSON integer: not a float, not a bool."""
+    if field.type == "tuple[int, ...]" and isinstance(value, list):
+        entries = value
+    elif field.type in ("int", "int | None") and value is not None:
+        entries = [value]
+    else:
+        return
+    for v in entries:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{field.name} must be an integer, got {v!r}")
+
+
 def _from_json_dict(cls, obj, **blocks):
     """cls(**obj), so the constructor's own checks validate every document
     read. blocks maps a field to the reader of its nested block. A missing
-    or unknown key raises ValueError naming it."""
+    or unknown key, or a non-integer in an integer field, raises ValueError
+    naming it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
     fields = dataclasses.fields(cls)
@@ -436,6 +463,8 @@ def _from_json_dict(cls, obj, **blocks):
     for f in fields:
         if f.name not in obj and f.default is f.default_factory is dataclasses.MISSING:
             raise ValueError(f"{cls.__name__} is missing field {f.name!r}")
+        if f.name in obj:
+            _check_integers(f, obj[f.name])
     values = {}
     for name, value in obj.items():
         try:

@@ -191,15 +191,6 @@ def build_attack_dataset(
             for rows, membership in ((members, 1), (nonmembers, 0)) for row in rows]
 
 
-def _descend(w, b, grad: np.ndarray, h_in: np.ndarray, gz: np.ndarray, lr: np.float32) -> None:
-    """One in-place gradient step of layer (w, b) from its input h_in and
-    pre-activation gradient gz; grad is scratch of w's shape."""
-    np.matmul(h_in.T, gz, out=grad)
-    grad *= lr
-    w -= grad
-    b -= lr * gz.sum(axis=0)
-
-
 def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClassifier:
     """Full-batch gradient descent on binary cross-entropy.
 
@@ -211,8 +202,7 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
     records = list(records)
     if not records:
         raise ValueError("no attack records given")
-    classes = {r.membership for r in records}
-    if classes != {0, 1}:
+    if {r.membership for r in records} != {0, 1}:
         raise ValueError("attack training set must contain both members and non-members")
     num_classes = records[0].num_classes
     if any(r.num_classes != num_classes for r in records):
@@ -225,32 +215,23 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
     # value-based casting and numpy 2 promotion
     lr = np.float32(cfg.learning_rate)
     inv_n = np.float32(1.0 / n)
-    # every (n x width) array is allocated once and rewritten each epoch;
-    # the ReLU mask is read off the stored activation (a > 0 exactly where
-    # the pre-activation is > 0, NaN included), and the layers update in
-    # place with the same two roundings as w - lr * G
-    hidden = len(layers) - 1
-    acts = [np.empty((n, cfg.hidden_width), dtype=np.float32) for _ in range(hidden)]
-    inputs = [x] + acts[:-1]
-    grad_h = np.empty((n, cfg.hidden_width), dtype=np.float32)
-    gz = np.empty((n, cfg.hidden_width), dtype=np.float32)
-    mask = np.empty((n, cfg.hidden_width), dtype=bool)
-    grads = [np.empty_like(w) for w, _ in layers]
-    w_out, b_out = layers[-1]
+    acts = [np.empty((n, cfg.hidden_width), dtype=np.float32) for _ in layers[:-1]]
+    inputs = [x] + acts
     for _ in range(cfg.epochs):
         logits = _forward(layers, x, acts)
         # d(BCE)/d(logit) for sigmoid output; logistic_cdf evaluates in
         # float64 and raises on a non-finite logit
         g = (logistic_cdf(logits).astype(np.float32) - y).reshape(-1, 1) * inv_n
-        np.matmul(g, w_out.T, out=grad_h)
-        _descend(w_out, b_out, grads[-1], acts[-1], g, lr)
-        for i in range(hidden - 1, -1, -1):
-            np.greater(acts[i], 0.0, out=mask)
-            np.multiply(grad_h, mask, out=gz)
-            w, b = layers[i]
-            if i:  # the input gradient of layer 0 has no use
-                np.matmul(gz, w.T, out=grad_h)
-            _descend(w, b, grads[i], inputs[i], gz, lr)
+        # output layer down: each layer hands on its input gradient, masked
+        # where its stored ReLU input h is 0, before its in-place update
+        for i in range(len(layers) - 1, -1, -1):
+            (w, b), h = layers[i], inputs[i]
+            if i:  # layer 0's input gradient has no use
+                g_below = g @ w.T
+                g_below *= h > 0
+            w -= lr * (h.T @ g)
+            b -= lr * g.sum(axis=0)
+            g = g_below
     return AttackClassifier(tuple(layers), num_classes)
 
 

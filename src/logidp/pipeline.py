@@ -121,6 +121,9 @@ class Dataset:
 
 
 def load_dataset_csv(path, num_classes: int | None = None) -> Dataset:
+    """Header row ending in a label column, then one record per row. A row
+    whose field count differs from the header's, or with a non-numeric
+    feature or a non-integer label, raises ValueError naming path:line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -128,8 +131,15 @@ def load_dataset_csv(path, num_classes: int | None = None) -> Dataset:
             raise ValueError(f"not a dataset CSV (missing label column): {path}")
         feats, labels = [], []
         for row in reader:
-            feats.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            try:
+                feats.append([float(v) for v in row[:-1]])
+                labels.append(int(row[-1]))
+            except ValueError:
+                raise ValueError(f"{where}: features must be numbers and the label an "
+                                 f"integer, got {row}") from None
     if not feats:
         raise ValueError(f"dataset CSV has no records: {path}")
     y = np.array(labels, dtype=np.int64)

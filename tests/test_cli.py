@@ -406,6 +406,51 @@ class TestSweep:
         assert calls == []
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("block, field, value", [
+        ("finetune", "epochs", 2.5),
+        ("attack", "epochs", 2.5),
+        ("attack", "train_pairs", 4.0),
+        ("sensitivity", "m", 2.5),
+        (None, "repeats_per_point", 1.5),
+        ("pretrain", "seed", 1.5),
+        ("pretrain", "hidden_dims", [4.7]),
+        (None, "master_seed", True),
+        ("dataset", "pretrain", 150.5),
+    ])
+    def test_non_integer_field_rejected_before_training(self, tmp_path, capsys, monkeypatch,
+                                                        block, field, value):
+        calls = []
+        monkeypatch.setattr("logidp.experiments.pretrain_encoder", lambda *a: calls.append(a))
+        doc = config_to_json_dict(small_config())
+        (doc[block] if block else doc)[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        got = value[0] if isinstance(value, list) else value
+        prefix = f"{block}: " if block else ""
+        assert f"error: {prefix}{field} must be an integer, got {got!r}" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_malformed_csv_row_named_before_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("logidp.experiments.pretrain_encoder", lambda *a: calls.append(a))
+        paths = {name: str(tmp_path / f"{name}.csv") for name in DATA.split_counts()}
+        for name, ds in DATA.load().items():
+            save_dataset_csv(ds, paths[name])
+        with open(paths["holdout"], "a") as fh:
+            fh.write("1.0,2.0\n")
+        doc = config_to_json_dict(small_config(dataset=CsvDataSpec(**paths, num_classes=5)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        line = 2 + DATA.holdout
+        assert f"error: {paths['holdout']}:{line}: expected 9 fields, got 2" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def report_json(config_path, tmp_path_factory):
@@ -443,6 +488,24 @@ class TestReport:
         code = main(["report", "--in", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rows: [row.update(repeat_index=0) for row in rows],
+         "(logistic, epsilon 8.0, repeat 0) is extra"),
+        (lambda rows: rows[0].update(epsilon=3.0), "(logistic, epsilon 3.0, repeat 0) is extra"),
+        (lambda rows: rows[0].update(mechanism="laplace"),
+         "(laplace, epsilon 8.0, repeat 0) is extra"),
+    ], ids=["repeat-0-everywhere", "epsilon-off-grid", "mechanism-not-in-config"])
+    def test_rows_that_are_not_the_config_cells_rejected(self, report_json, tmp_path, capsys,
+                                                         edit, named):
+        doc = json.loads(report_json.read_text())
+        edit(doc["rows"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main(["report", "--in", str(bad), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonfinite_sensitivity_rejected(self, report_json, tmp_path, capsys):
         doc = json.loads(report_json.read_text())

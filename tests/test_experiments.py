@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -399,6 +400,38 @@ class TestEmitReport:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"averaged: row \\(logistic, {named}\\)"):
             load_report(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rows: [row.update(repeat_index=0) for row in rows],
+         "(logistic, epsilon 8.0, repeat 0) is extra"),
+        (lambda rows: rows[0].update(epsilon=3.0), "(logistic, epsilon 3.0, repeat 0) is extra"),
+        (lambda rows: rows[0].update(mechanism="laplace"),
+         "(laplace, epsilon 8.0, repeat 0) is extra"),
+        (lambda rows: rows.pop(), "(gaussian, epsilon 0.5, repeat 1) is missing"),
+    ], ids=["repeat-0-everywhere", "epsilon-off-grid", "mechanism-not-in-config", "row-missing"])
+    def test_load_rejects_rows_that_are_not_the_config_cells(self, small_report, tmp_path,
+                                                             edit, named):
+        doc = json.loads(json.dumps(report_to_json_dict(small_report)))
+        edit(doc["rows"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_report(path)
+
+    def test_rows_are_cells_in_any_order(self, small_report):
+        rows = tuple(reversed(small_report.rows))
+        assert dataclasses.replace(small_report, rows=rows).rows == rows
+
+    def test_scale_grid_rows_are_keyed_by_scale(self):
+        sens = Sensitivity(NormKind.L1, 0.5)
+        cfg = small_config(mechanisms=(MechanismKind.LOGISTIC,), epsilon_grid=None,
+                           scale_grid=(1.0, 0.5), repeats_per_point=1, sensitivity=sens)
+        rows = [SweepRow(MechanismKind.LOGISTIC, 0.5 / s, s, 0.1, 0.5, 0) for s in (1.0, 0.5)]
+        base = {"accuracy": 0.9, "mia_accuracy": 0.6}
+        SweepReport(tuple(rows), sens, cfg, base)
+        rows[1] = SweepRow(MechanismKind.LOGISTIC, 2.0, 0.25, 0.1, 0.5, 0)
+        with pytest.raises(ValueError, match=re.escape("(logistic, scale 0.25, repeat 0) is extra")):
+            SweepReport(tuple(rows), sens, cfg, base)
 
     def test_averaged_rows_are_computed_not_stored(self):
         assert "averaged" not in {f.name for f in dataclasses.fields(SweepReport)}

@@ -729,6 +729,20 @@ class TestDatasetIO:
         assert np.array_equal(back.labels, ten_class.labels)
         assert back.num_classes == 10
 
+    @pytest.mark.parametrize("line, message", [
+        ("", "expected 3 fields, got 0"),
+        ("1.0,2.0", "expected 3 fields, got 2"),
+        ("1.0,2.0,1.0", "the label an integer"),
+        ("1.0,x,1", "features must be numbers"),
+    ])
+    def test_malformed_row_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n{line}\n3.0,4.0,1\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset_csv(path)
+        assert str(info.value).startswith(f"{path}:3: ")
+        assert message in str(info.value)
+
     def test_csv_explicit_class_count(self, tmp_path):
         d = Dataset([[1.0, 2.0]], [0], 4)
         path = tmp_path / "one.csv"
