@@ -7,6 +7,9 @@ accuracy against the victim is the fraction of balanced member/non-member
 queries the classifier gets right at threshold 0.5; 0.5 is random guessing.
 The MLP trains and scores in float32, as attack models usually do; the
 release path (noise, calibration, sensitivity, encoder, heads) stays float64.
+Both run on fixed blocks of at most 125 records, each layer's bias folded
+into its weight matrix, and training adds the blocks' gradients in block
+order, so the trained layers have the same bits on any BLAS thread count.
 
 The classifier sees shadow outputs only, by construction: train_auditor in
 experiments builds its records from the shadow splits alone, and the victim
@@ -27,6 +30,12 @@ from .weights import WeightVector
 
 _STREAM_IN = 0
 _STREAM_OUT = 1
+
+# Rows per record block of the attack MLP. A product of the default 64-wide
+# MLP on one block is at most 125 x 65 x 64 multiply-adds, under OpenBLAS's
+# threading threshold, so it runs on the calling thread whatever the BLAS
+# thread count. Smaller blocks pay more BLAS calls.
+_BLOCK_ROWS = 125
 
 
 @dataclass(frozen=True)
@@ -131,17 +140,35 @@ def _init_layers(cfg: AttackClassifierConfig, num_classes: int):
     ]
 
 
+def _blocks(x: np.ndarray) -> np.ndarray:
+    """The rows of x as (blocks, rows, width + 1) float32 record blocks: a
+    trailing ones column carries each layer's bias, and the last block is
+    padded with zero-feature rows."""
+    n, width = x.shape
+    count = -(-n // _BLOCK_ROWS)
+    rows = -(-n // count)
+    flat = np.ones((count * rows, width + 1), dtype=np.float32)
+    flat[:n, :-1] = x
+    flat[n:, :-1] = 0.0
+    return flat.reshape(count, rows, width + 1)
+
+
+def _activations(layers, x: np.ndarray) -> list[np.ndarray]:
+    """One (blocks, rows, width + 1) buffer per hidden layer, its ones column set."""
+    return [np.ones((*x.shape[:2], w.shape[1] + 1), dtype=np.float32) for w in layers[:-1]]
+
+
 def _forward(layers, x: np.ndarray, acts) -> np.ndarray:
-    """Output logits of the MLP on the rows of x; each hidden layer's ReLU
-    activation is written to its (rows, width) buffer in acts."""
+    """Output logits of the MLP on the record blocks x, flattened in record
+    order with the padding rows last. Each layer is one (in + 1, out) matrix
+    whose last row is the bias; each hidden layer's ReLU activation is
+    written before the ones column of its buffer in acts."""
     h = x
-    for (w, b), a in zip(layers[:-1], acts):
-        np.matmul(h, w, out=a)
-        a += b
+    for w, a in zip(layers[:-1], acts):
+        np.matmul(h, w, out=a[..., :-1])
         np.maximum(a, 0.0, out=a)
         h = a
-    w, b = layers[-1]
-    return (h @ w + b).ravel()
+    return (h @ layers[-1]).reshape(-1)
 
 
 def _balanced_inputs(theta: WeightVector, omega: WeightVector, members: Dataset, nonmembers: Dataset,
@@ -192,12 +219,14 @@ def build_attack_dataset(
 
 
 def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClassifier:
-    """Full-batch gradient descent on binary cross-entropy.
+    """Full-batch gradient descent on binary cross-entropy, one step per epoch.
 
     Input is the concatenated (output vector, one-hot label); hidden stack is
     cfg.hidden_layers ReLU layers of cfg.hidden_width; output is one sigmoid
-    unit. Deterministic given cfg.seed. Raises ValueError at the first
-    non-finite logit of a diverging run.
+    unit. The records run as ceil(n / 125) equal blocks, the last padded with
+    rows whose gradient is 0. Deterministic given cfg.seed, on any BLAS
+    thread count. Raises ValueError at the first non-finite logit of a
+    diverging run.
     """
     records = list(records)
     if not records:
@@ -208,31 +237,40 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
     if any(r.num_classes != num_classes for r in records):
         raise ValueError("all attack records must share num_classes")
 
-    x, y = (a.astype(np.float32) for a in _stack_inputs(records))
-    layers = _init_layers(cfg, num_classes)
+    x, y = _stack_inputs(records)
+    x, y = _blocks(x), y.astype(np.float32)
+    layers = [np.vstack([w, b]) for w, b in _init_layers(cfg, num_classes)]
     n = len(records)
     # float32 scalars keep every product float32 under both numpy 1.x
     # value-based casting and numpy 2 promotion
     lr = np.float32(cfg.learning_rate)
     inv_n = np.float32(1.0 / n)
-    acts = [np.empty((n, cfg.hidden_width), dtype=np.float32) for _ in layers[:-1]]
+    acts = _activations(layers, x)
     inputs = [x] + acts
+    # one buffer holds each layer's per-block gradients in turn
+    grad_buf = np.empty(len(x) * max(w.size for w in layers), dtype=np.float32)
+    # the padding rows' output gradient stays 0, so they add exact zeros
+    g_out = np.zeros((*x.shape[:2], 1), dtype=np.float32)
     for _ in range(cfg.epochs):
-        logits = _forward(layers, x, acts)
+        logits = _forward(layers, x, acts)[:n]
         # d(BCE)/d(logit) for sigmoid output; logistic_cdf evaluates in
         # float64 and raises on a non-finite logit
-        g = (logistic_cdf(logits).astype(np.float32) - y).reshape(-1, 1) * inv_n
+        g_out.reshape(-1)[:n] = (logistic_cdf(logits).astype(np.float32) - y) * inv_n
+        g = g_out
         # output layer down: each layer hands on its input gradient, masked
         # where its stored ReLU input h is 0, before its in-place update
         for i in range(len(layers) - 1, -1, -1):
-            (w, b), h = layers[i], inputs[i]
+            w, h = layers[i], inputs[i]
+            gw = grad_buf[:len(x) * w.size].reshape(len(x), *w.shape)
             if i:  # layer 0's input gradient has no use
-                g_below = g @ w.T
-                g_below *= h > 0
-            w -= lr * (h.T @ g)
-            b -= lr * g.sum(axis=0)
+                # the 1-wide output layer's is a broadcast product, not a matmul
+                g_below = g * w[:-1].T if g.shape[-1] == 1 else g @ w[:-1].T
+                g_below *= h[..., :-1] > 0
+            # one weight-and-bias gradient per block, added in block order
+            np.matmul(h.swapaxes(1, 2), g, out=gw)
+            w -= lr * gw.sum(axis=0)
             g = g_below
-    return AttackClassifier(tuple(layers), num_classes)
+    return AttackClassifier(tuple((w[:-1], w[-1]) for w in layers), num_classes)
 
 
 def attack_accuracy(
@@ -253,10 +291,11 @@ def attack_accuracy(
         raise ValueError("evaluation sets must be nonempty")
     size = min(len(members), len(nonmembers))
     omega = victim.omega_noisy if use_protected_outputs else victim.omega_clean
-    x = np.concatenate(_balanced_inputs(victim.theta, omega, members, nonmembers, size, seed), dtype=np.float32)
+    x = np.concatenate(_balanced_inputs(victim.theta, omega, members, nonmembers, size, seed))
     if x.shape[1] != 2 * classifier.num_classes:
         raise ValueError("victim output width does not match the classifier")
-    acts = [np.empty((len(x), w.shape[1]), dtype=np.float32) for w, _ in classifier.layers[:-1]]
-    logits = _forward(classifier.layers, x, acts)
+    layers = [np.vstack([w, b]) for w, b in classifier.layers]
+    x = _blocks(x)
+    logits = _forward(layers, x, _activations(layers, x))[:2 * size]
     is_member = np.arange(2 * size) < size
     return float(np.mean((logistic_cdf(logits) >= 0.5) == is_member))

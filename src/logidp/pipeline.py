@@ -122,8 +122,10 @@ class Dataset:
 
 def load_dataset_csv(path, num_classes: int | None = None) -> Dataset:
     """Header row ending in a label column, then one record per row. A row
-    whose field count differs from the header's, or with a non-numeric
-    feature or a non-integer label, raises ValueError naming path:line."""
+    whose field count differs from the header's, with a non-numeric or
+    non-finite feature, or with a label that is not an integer in
+    [0, num_classes) (or >= 0 when num_classes is None), raises ValueError
+    naming path:line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -135,11 +137,18 @@ def load_dataset_csv(path, num_classes: int | None = None) -> Dataset:
             if len(row) != len(header):
                 raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
             try:
-                feats.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
+                feat = [float(v) for v in row[:-1]]
+                label = int(row[-1])
             except ValueError:
                 raise ValueError(f"{where}: features must be numbers and the label an "
                                  f"integer, got {row}") from None
+            if not all(math.isfinite(v) for v in feat):
+                raise ValueError(f"{where}: features must be finite, got {row}")
+            if label < 0 or (num_classes is not None and label >= num_classes):
+                bound = "" if num_classes is None else f" and < num_classes {num_classes}"
+                raise ValueError(f"{where}: label must be >= 0{bound}, got {label}")
+            feats.append(feat)
+            labels.append(label)
     if not feats:
         raise ValueError(f"dataset CSV has no records: {path}")
     y = np.array(labels, dtype=np.int64)

@@ -729,17 +729,21 @@ class TestDatasetIO:
         assert np.array_equal(back.labels, ten_class.labels)
         assert back.num_classes == 10
 
-    @pytest.mark.parametrize("line, message", [
-        ("", "expected 3 fields, got 0"),
-        ("1.0,2.0", "expected 3 fields, got 2"),
-        ("1.0,2.0,1.0", "the label an integer"),
-        ("1.0,x,1", "features must be numbers"),
+    @pytest.mark.parametrize("line, num_classes, message", [
+        ("", None, "expected 3 fields, got 0"),
+        ("1.0,2.0", None, "expected 3 fields, got 2"),
+        ("1.0,2.0,1.0", None, "the label an integer"),
+        ("1.0,x,1", None, "features must be numbers"),
+        ("1.0,nan,0", None, "features must be finite"),
+        ("inf,2.0,0", None, "features must be finite"),
+        ("1.0,2.0,-1", None, "label must be >= 0, got -1"),
+        ("1.0,2.0,5", 3, "label must be >= 0 and < num_classes 3, got 5"),
     ])
-    def test_malformed_row_names_path_and_line(self, tmp_path, line, message):
+    def test_malformed_row_names_path_and_line(self, tmp_path, line, num_classes, message):
         path = tmp_path / "bad.csv"
         path.write_text(f"f0,f1,label\n1.0,2.0,0\n{line}\n3.0,4.0,1\n")
         with pytest.raises(ValueError) as info:
-            load_dataset_csv(path)
+            load_dataset_csv(path, num_classes)
         assert str(info.value).startswith(f"{path}:3: ")
         assert message in str(info.value)
 
