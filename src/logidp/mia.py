@@ -7,9 +7,10 @@ accuracy against the victim is the fraction of balanced member/non-member
 queries the classifier gets right at threshold 0.5; 0.5 is random guessing.
 The MLP trains and scores in float32, as attack models usually do; the
 release path (noise, calibration, sensitivity, encoder, heads) stays float64.
-Both run on fixed blocks of at most 125 records, each layer's bias folded
-into its weight matrix, and training adds the blocks' gradients in block
-order, so the trained layers have the same bits on any BLAS thread count.
+Each layer is one (in + 1, out) matrix whose last row is the bias, from
+initialization to scoring. Training and scoring run on fixed blocks of at
+most 125 records, and training adds the blocks' gradients in block order,
+so the trained layers have the same bits on any BLAS thread count.
 
 The classifier sees shadow outputs only, by construction: train_auditor in
 experiments builds its records from the shadow splits alone, and the victim
@@ -96,23 +97,20 @@ class AttackClassifierConfig:
 
 @dataclass(frozen=True)
 class AttackClassifier:
-    """Trained membership MLP: ReLU hidden stack, sigmoid output, float32 layers."""
+    """Trained membership MLP: ReLU hidden stack, sigmoid output. Each layer
+    is one read-only float32 (in + 1, out) matrix whose last row is the bias."""
 
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    layers: tuple[np.ndarray, ...]
     num_classes: int
 
     def __post_init__(self):
-        frozen = []
-        for w, b in self.layers:
-            w = np.asarray(w, dtype=np.float32).copy()
-            b = np.asarray(b, dtype=np.float32).copy()
+        frozen = tuple(np.asarray(w, dtype=np.float32).copy() for w in self.layers)
+        for w in frozen:
             w.flags.writeable = False
-            b.flags.writeable = False
-            frozen.append((w, b))
-        object.__setattr__(self, "layers", tuple(frozen))
-        if self.layers[0][0].shape[0] != 2 * self.num_classes:
-            raise ValueError("first layer width must match 2 * num_classes")
-        if self.layers[-1][0].shape[1] != 1:
+        object.__setattr__(self, "layers", frozen)
+        if frozen[0].shape[0] != 2 * self.num_classes + 1:
+            raise ValueError("first layer must have 2 * num_classes + 1 rows, the last its bias")
+        if frozen[-1].shape[1] != 1:
             raise ValueError("output layer must have a single unit")
 
 
@@ -122,13 +120,14 @@ def _stack_inputs(records) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _layer_init(stream: RngStream, fan_in: int, fan_out: int, gain: float) -> tuple[np.ndarray, np.ndarray]:
+def _layer_init(stream: RngStream, fan_in: int, fan_out: int, gain: float) -> np.ndarray:
     # symmetric uniform; gain 6 keeps variance flat through a ReLU stack,
-    # gain 3 is the linear-output choice; bias starts at zero. Drawn in
-    # float64, rounded once to the float32 the MLP trains in
+    # gain 3 is the linear-output choice; the bias row starts at zero. Drawn
+    # in float64, rounded once to the float32 the MLP trains in
     bound = np.sqrt(gain / fan_in)
-    w = (stream.uniforms(fan_in * fan_out) * 2.0 - 1.0) * bound
-    return w.reshape(fan_in, fan_out).astype(np.float32), np.zeros(fan_out, dtype=np.float32)
+    layer = np.zeros((fan_in + 1, fan_out), dtype=np.float32)
+    layer[:-1] = ((stream.uniforms(fan_in * fan_out) * 2.0 - 1.0) * bound).reshape(fan_in, fan_out)
+    return layer
 
 
 def _init_layers(cfg: AttackClassifierConfig, num_classes: int):
@@ -239,7 +238,7 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
 
     x, y = _stack_inputs(records)
     x, y = _blocks(x), y.astype(np.float32)
-    layers = [np.vstack([w, b]) for w, b in _init_layers(cfg, num_classes)]
+    layers = _init_layers(cfg, num_classes)
     n = len(records)
     # float32 scalars keep every product float32 under both numpy 1.x
     # value-based casting and numpy 2 promotion
@@ -270,7 +269,7 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
             np.matmul(h.swapaxes(1, 2), g, out=gw)
             w -= lr * gw.sum(axis=0)
             g = g_below
-    return AttackClassifier(tuple((w[:-1], w[-1]) for w in layers), num_classes)
+    return AttackClassifier(tuple(layers), num_classes)
 
 
 def attack_accuracy(
@@ -294,8 +293,7 @@ def attack_accuracy(
     x = np.concatenate(_balanced_inputs(victim.theta, omega, members, nonmembers, size, seed))
     if x.shape[1] != 2 * classifier.num_classes:
         raise ValueError("victim output width does not match the classifier")
-    layers = [np.vstack([w, b]) for w, b in classifier.layers]
     x = _blocks(x)
-    logits = _forward(layers, x, _activations(layers, x))[:2 * size]
+    logits = _forward(classifier.layers, x, _activations(classifier.layers, x))[:2 * size]
     is_member = np.arange(2 * size) < size
     return float(np.mean((logistic_cdf(logits) >= 0.5) == is_member))

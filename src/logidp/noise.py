@@ -69,33 +69,19 @@ def _match_shape(out: np.ndarray, x):
     return out
 
 
-def logistic_pdf(x, p: LogisticParams = LogisticParams()):
-    """Density exp(-(x-mu)/s) / (s (1 + exp(-(x-mu)/s))^2).
-
-    The density is symmetric in t = (x-mu)/s, so it is evaluated at -|t|;
-    both tails underflow cleanly.
-    """
-    t = _standardized(x, p.mu, p.s)
-    a = np.exp(-np.abs(t))
-    return _match_shape(a / (p.s * (1.0 + a) ** 2), x)
-
-
 def logistic_log_pdf(x, p: LogisticParams = LogisticParams()):
-    """log of logistic_pdf: -|t| - 2 log1p(exp(-|t|)) - log s."""
+    """Log density of logistic(mu, s): -|t| - 2 log1p(exp(-|t|)) - log s,
+    with t = (x-mu)/s."""
     t = np.abs(_standardized(x, p.mu, p.s))
     return _match_shape(-t - 2.0 * np.log1p(np.exp(-t)) - math.log(p.s), x)
 
 
 def logistic_cdf(x, p: LogisticParams = LogisticParams()):
-    """1 / (1 + exp(-(x-mu)/s)), branch-split so exp never overflows."""
+    """1 / (1 + exp(-(x-mu)/s)), evaluated through e = exp(-|t|) so exp never
+    overflows: 1 / (1 + e) for t >= 0 and e / (1 + e) below."""
     t = _standardized(x, p.mu, p.s)
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return _match_shape(out if np.ndim(x) else out[0], x)
+    e = np.exp(-np.abs(t))
+    return _match_shape(np.where(t >= 0, 1.0, e) / (1.0 + e), x)
 
 
 def sample_logistic(rng: RngStream, p: LogisticParams, n: int) -> np.ndarray:

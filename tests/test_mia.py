@@ -88,7 +88,7 @@ def reference_train(records, cfg):
     rows = -(-n // count)
     x = np.vstack([x, np.zeros((count * rows - n, x.shape[1]), dtype=np.float32)])
     ones = np.ones((rows, 1), dtype=np.float32)
-    layers = [np.vstack([w, b]) for w, b in _init_layers(cfg, records[0].num_classes)]
+    layers = _init_layers(cfg, records[0].num_classes)
     lr = np.float32(cfg.learning_rate)
     inv_n = np.float32(1.0 / n)
     for _ in range(cfg.epochs):
@@ -109,11 +109,12 @@ def reference_train(records, cfg):
             if i:
                 gs = [(gb @ w[:-1].T) * (z > 0) for gb, z in zip(gs, pre_acts[i - 1])]
             layers[i] = w - lr * total
-    return [(w[:-1], w[-1]) for w in layers]
+    return layers
 
 
 def layer_bytes(layers) -> bytes:
-    return b"".join(w.tobytes() + b.tobytes() for w, b in layers)
+    # a C-contiguous (in + 1, out) matrix's bytes are its weights', then its bias's
+    return b"".join(w.tobytes() for w in layers)
 
 
 @pytest.fixture(scope="module")
@@ -258,19 +259,13 @@ class TestTrainAttackClassifier:
         a = train_attack_classifier(separable_records, cfg)
         b = train_attack_classifier(separable_records[:10], cfg)
         # training data cannot matter at zero epochs
-        assert all(
-            np.array_equal(wa, wb) and np.array_equal(ba, bb)
-            for (wa, ba), (wb, bb) in zip(a.layers, b.layers)
-        )
+        assert all(np.array_equal(wa, wb) for wa, wb in zip(a.layers, b.layers))
 
     def test_deterministic_given_seed(self, separable_records):
         cfg = AttackClassifierConfig(epochs=50, seed=3)
         a = train_attack_classifier(separable_records, cfg)
         b = train_attack_classifier(separable_records, cfg)
-        assert all(
-            np.array_equal(wa, wb) and np.array_equal(ba, bb)
-            for (wa, ba), (wb, bb) in zip(a.layers, b.layers)
-        )
+        assert all(np.array_equal(wa, wb) for wa, wb in zip(a.layers, b.layers))
 
     def test_permuted_memberships_score_at_chance_on_held_out(self):
         # memberships reassigned by coin flip: no signal to learn
@@ -311,7 +306,7 @@ class TestTrainAttackClassifier:
         passes = []
 
         def recording_forward(layers, x, acts):
-            passes.append({x.dtype, *(a.dtype for a in acts), *(p.dtype for layer in layers for p in layer)})
+            passes.append({x.dtype, *(a.dtype for a in acts), *(w.dtype for w in layers)})
             return _forward(layers, x, acts)
 
         monkeypatch.setattr("logidp.mia._forward", recording_forward)
@@ -319,7 +314,7 @@ class TestTrainAttackClassifier:
         records_accuracy(clf, separable_records)
         assert len(passes) == 4  # three training epochs, one scoring pass
         assert all(dtypes == {np.dtype(np.float32)} for dtypes in passes)
-        assert all(p.dtype == np.float32 for layer in constant_classifier(4, 0.0).layers for p in layer)
+        assert all(w.dtype == np.float32 for w in constant_classifier(4, 0.0).layers)
 
     def test_diverging_run_raises_instead_of_returning_nan_layers(self):
         cfg = AttackClassifierConfig(epochs=50, seed=9, learning_rate=1e200)
@@ -338,17 +333,33 @@ class TestTrainAttackClassifier:
     def test_architecture_matches_config(self, separable_records):
         cfg = AttackClassifierConfig(epochs=0, seed=1, hidden_layers=3, hidden_width=16)
         clf = train_attack_classifier(separable_records, cfg)
-        shapes = [w.shape for w, _ in clf.layers]
-        assert shapes == [(8, 16), (16, 16), (16, 16), (16, 1)]
+        shapes = [w.shape for w in clf.layers]
+        assert shapes == [(9, 16), (17, 16), (17, 16), (17, 1)]
 
 
 def constant_classifier(num_classes: int, logit: float) -> AttackClassifier:
+    # zero weights; the output layer's bias row carries the logit
     width = 4
-    layers = [
-        (np.zeros((2 * num_classes, width)), np.zeros(width)),
-        (np.zeros((width, 1)), np.full(1, logit)),
-    ]
-    return AttackClassifier(tuple(layers), num_classes)
+    output = np.zeros((width + 1, 1))
+    output[-1] = logit
+    return AttackClassifier((np.zeros((2 * num_classes + 1, width)), output), num_classes)
+
+
+class TestAttackClassifier:
+    def test_layers_are_read_only_float32_copies(self):
+        first = np.zeros((9, 4))
+        clf = AttackClassifier((first, np.zeros((5, 1))), 4)
+        first[0, 0] = 1.0
+        assert all(w.dtype == np.float32 and not w.flags.writeable for w in clf.layers)
+        assert clf.layers[0][0, 0] == 0.0
+
+    def test_first_layer_without_bias_row_rejected(self):
+        with pytest.raises(ValueError, match="2 \\* num_classes \\+ 1 rows"):
+            AttackClassifier((np.zeros((8, 4)), np.zeros((5, 1))), 4)
+
+    def test_output_layer_wider_than_one_unit_rejected(self):
+        with pytest.raises(ValueError, match="single unit"):
+            AttackClassifier((np.zeros((9, 4)), np.zeros((5, 2))), 4)
 
 
 class TestAttackAccuracy:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, stats
 
 from logidp.noise import (
     GaussianParams,
@@ -12,7 +12,6 @@ from logidp.noise import (
     ks_distance,
     logistic_cdf,
     logistic_log_pdf,
-    logistic_pdf,
     sample_gaussian,
     sample_laplace,
     sample_logistic,
@@ -65,10 +64,25 @@ class TestRngStream:
         assert 0 <= a < 2**64
 
 
+def logistic_pdf(x, p: LogisticParams):
+    """Reference density of logistic(mu, s)."""
+    return stats.logistic.pdf(x, loc=p.mu, scale=p.s)
+
+
+def two_branch_logistic_cdf(t: np.ndarray) -> np.ndarray:
+    """The standard logistic CDF split on the sign of t, so exp never overflows."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 class TestLogisticDensity:
     def test_pdf_at_mode(self):
-        assert logistic_pdf(0.0, LogisticParams(0.0, 1.0)) == 0.25
-        assert logistic_pdf(0.0, LogisticParams(0.0, 0.005)) == 50.0
+        assert logistic_log_pdf(0.0, LogisticParams(0.0, 1.0)) == math.log(0.25)
+        assert_allclose(logistic_log_pdf(0.0, LogisticParams(0.0, 0.005)), math.log(50.0), rtol=1e-15)
 
     def test_pdf_matches_cdf_derivative(self):
         p = LogisticParams(1.0, 2.0)
@@ -77,16 +91,29 @@ class TestLogisticDensity:
         assert abs(logistic_pdf(3.0, p) - numeric) < 1e-6
 
     def test_pdf_nonfinite_errors(self):
-        with pytest.raises(ValueError):
-            logistic_pdf(float("nan"))
-        with pytest.raises(ValueError):
-            logistic_cdf(float("inf"))
+        with pytest.raises(ValueError, match="x must be finite"):
+            logistic_log_pdf(float("nan"))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="x must be finite"):
+                logistic_cdf(bad)
+        with pytest.raises(ValueError, match="x must be finite"):
+            logistic_cdf(np.array([0.0, np.nan]))
 
     def test_pdf_extreme_arguments_stay_finite(self):
         p = LogisticParams(0.0, 0.005)
-        assert logistic_pdf(1e9, p) == 0.0
-        assert logistic_pdf(-1e9, p) == 0.0
         assert np.isfinite(logistic_log_pdf(1e9, p))
+
+    def test_cdf_byte_equal_to_two_branch_formula(self):
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 709.0, -709.0,
+                          745.0, -745.0, 1e6, -1e6])
+        u = RngStream(29).uniforms(30_000).reshape(3, -1)
+        draws = (u[0] - 0.5) * 80.0
+        # magnitudes log-uniform over 1e-300 .. 1e3, either sign
+        spread = np.sign(u[1] - 0.5) * 10.0 ** (303.0 * u[2] - 300.0)
+        for t in (edges, draws, spread):
+            assert logistic_cdf(t).tobytes() == two_branch_logistic_cdf(t).tobytes()
+        for t in edges:
+            assert logistic_cdf(t) == two_branch_logistic_cdf(np.array([t]))[0]
 
     def test_cdf_at_location(self):
         assert logistic_cdf(4.5, LogisticParams(4.5, 0.3)) == 0.5
@@ -112,7 +139,8 @@ class TestLogisticDensity:
     @pytest.mark.parametrize("s", [0.005, 0.1, 1.0, 3.0])
     def test_pdf_integrates_to_one(self, s):
         p = LogisticParams(0.25, s)
-        total, _ = integrate.quad(lambda t: logistic_pdf(t, p), p.mu - 40 * s, p.mu + 40 * s, limit=200)
+        density = lambda t: math.exp(logistic_log_pdf(t, p))
+        total, _ = integrate.quad(density, p.mu - 40 * s, p.mu + 40 * s, limit=200)
         assert abs(total - 1.0) < 1e-6
 
     @pytest.mark.parametrize("s", [0.005, 1.0])
