@@ -48,7 +48,7 @@ from .pipeline import (
     pretrain_encoder,
 )
 from .protection import protect_existing
-from .rng import derive_seed
+from .rng import check_int, check_seed, derive_seed
 from .sensitivity import SensitivityEstimate, sample_sensitivity
 from .weights import WeightVector, write_json
 
@@ -71,9 +71,10 @@ class SyntheticDataSpec:
     shadow_out: int
 
     def __post_init__(self):
+        for name in ("num_classes", "per_class", "feature_dim", *_SPLIT_NAMES):
+            check_int(getattr(self, name), name, 1)
+        check_seed(self.seed)
         counts = self.split_counts()
-        if any(c < 1 for c in counts.values()):
-            raise ValueError("every split must get at least one record")
         total = self.num_classes * self.per_class
         if sum(counts.values()) > total:
             raise ValueError(
@@ -107,6 +108,10 @@ class CsvDataSpec:
     shadow_out: str
     num_classes: int | None = None
 
+    def __post_init__(self):
+        if self.num_classes is not None:
+            check_int(self.num_classes, "num_classes", 1)
+
     def load(self) -> dict[str, Dataset]:
         """The five splits; without num_classes, every split gets the count
         the largest label over all five implies."""
@@ -131,10 +136,8 @@ class SampledSensitivity:
     seed: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in u64, got {self.seed}")
+        check_int(self.m, "m", 1)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,8 @@ class SweepConfig:
                 raise ValueError(f"{grid_name} entries must be positive and finite")
             if len(set(grid)) != len(grid):
                 raise ValueError(f"{grid_name} entries must be distinct")
-        if self.repeats_per_point < 1:
-            raise ValueError(f"repeats_per_point must be >= 1, got {self.repeats_per_point}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must fit in u64, got {self.master_seed}")
+        check_int(self.repeats_per_point, "repeats_per_point", 1)
+        check_seed(self.master_seed, "master_seed")
         if not (np.isfinite(self.delta) and 0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
 
@@ -209,8 +210,7 @@ class SweepRow(_GridPoint):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.repeat_index < 0:
-            raise ValueError(f"repeat_index must be >= 0, got {self.repeat_index}")
+        check_int(self.repeat_index, "repeat_index")
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,7 @@ class AveragedRow(_GridPoint):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        check_int(self.repeats, "repeats", 1)
 
 
 @dataclass(frozen=True)
@@ -435,25 +434,11 @@ def trend_statistics(report: SweepReport) -> dict[MechanismKind, TrendStats]:
 # (tag key, {tag: class}) pair. Every document goes through write_json, so an
 # estimate file reads exactly as a report's sensitivity block.
 
-def _check_integers(field: dataclasses.Field, value) -> None:
-    """A field annotated int or int | None, and each entry of a
-    tuple[int, ...] field, takes a JSON integer: not a float, not a bool."""
-    if field.type == "tuple[int, ...]" and isinstance(value, list):
-        entries = value
-    elif field.type in ("int", "int | None") and value is not None:
-        entries = [value]
-    else:
-        return
-    for v in entries:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{field.name} must be an integer, got {v!r}")
-
-
 def _from_json_dict(cls, obj, **blocks):
     """cls(**obj), so the constructor's own checks validate every document
-    read. blocks maps a field to the reader of its nested block. A missing
-    or unknown key, or a non-integer in an integer field, raises ValueError
-    naming it."""
+    read, an integer field's type among them. blocks maps a field to the
+    reader of its nested block, whose errors it prefixes with the field. A
+    missing or unknown key raises ValueError naming it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
     fields = dataclasses.fields(cls)
@@ -463,8 +448,6 @@ def _from_json_dict(cls, obj, **blocks):
     for f in fields:
         if f.name not in obj and f.default is f.default_factory is dataclasses.MISSING:
             raise ValueError(f"{cls.__name__} is missing field {f.name!r}")
-        if f.name in obj:
-            _check_integers(f, obj[f.name])
     values = {}
     for name, value in obj.items():
         try:

@@ -26,7 +26,7 @@ import numpy as np
 from .noise import logistic_cdf
 from .pipeline import Dataset, encode, one_hot, predict_from_representations
 from .protection import ProtectedModel
-from .rng import RngStream
+from .rng import RngStream, check_int, check_seed
 from .weights import WeightVector
 
 _STREAM_IN = 0
@@ -81,18 +81,14 @@ class AttackClassifierConfig:
     train_pairs: int = 2000
 
     def __post_init__(self):
-        if self.hidden_layers < 1:
-            raise ValueError(f"hidden_layers must be >= 1, got {self.hidden_layers}")
-        if self.hidden_width < 1:
-            raise ValueError(f"hidden_width must be >= 1, got {self.hidden_width}")
+        check_int(self.hidden_layers, "hidden_layers", 1)
+        check_int(self.hidden_width, "hidden_width", 1)
+        check_int(self.epochs, "epochs")
+        if check_int(self.train_pairs, "train_pairs", 2) % 2:
+            raise ValueError(f"train_pairs must be even, got {self.train_pairs}")
+        check_seed(self.seed)
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.train_pairs < 2 or self.train_pairs % 2:
-            raise ValueError(f"train_pairs must be even and >= 2, got {self.train_pairs}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in u64, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +104,14 @@ class AttackClassifier:
         for w in frozen:
             w.flags.writeable = False
         object.__setattr__(self, "layers", frozen)
+        if not frozen:
+            raise ValueError("layers must hold at least the output layer")
         if frozen[0].shape[0] != 2 * self.num_classes + 1:
             raise ValueError("first layer must have 2 * num_classes + 1 rows, the last its bias")
+        for i in range(1, len(frozen)):
+            if frozen[i].shape[0] != frozen[i - 1].shape[1] + 1:
+                raise ValueError(f"layer {i} must have {frozen[i - 1].shape[1] + 1} rows, one per "
+                                 f"output of layer {i - 1} and the bias, got {frozen[i].shape[0]}")
         if frozen[-1].shape[1] != 1:
             raise ValueError("output layer must have a single unit")
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, check_int, check_seed
 from .weights import WeightVector, make_tag, parse_tag
 
 # Pseudo-label task size: the identity plus three seeded transformations.
@@ -61,19 +61,16 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden widths must be positive, got {self.hidden_dims}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        object.__setattr__(self, "hidden_dims",
+                           tuple(check_int(h, "hidden_dims", 1) for h in self.hidden_dims))
+        check_int(self.epochs, "epochs", 1)
+        check_seed(self.seed)
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
             raise ValueError(f"init_scale must be positive, got {self.init_scale}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit int, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,7 @@ class Dataset:
             raise ValueError("labels must be one per record")
         if not np.all(np.isfinite(f)):
             raise ValueError("features must be finite")
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be positive, got {self.num_classes}")
+        check_int(self.num_classes, "num_classes", 1)
         if y.size and (y.min() < 0 or y.max() >= self.num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
         f.setflags(write=False)
@@ -414,9 +410,12 @@ def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, leave
     init = _fit_start(theta, dataset, len(dataset) - 1, cfg)
 
     def fit_chunk(chunk):
-        # encode each copy as without_index(i) lays it out, then drop it
-        reps = np.stack([encode(theta, np.delete(dataset.features, i, axis=0)) for i in chunk])
-        labels = np.stack([np.delete(dataset.labels, i) for i in chunk])
+        reps = np.empty((len(chunk), len(dataset) - 1, init.shape[0]))
+        labels = np.empty(reps.shape[:2], dtype=np.int64)
+        for k, i in enumerate(chunk):
+            copy = dataset.without_index(i)
+            reps[k], labels[k] = encode(theta, copy.features), copy.labels
+            del copy  # before the next copy is built, so one copy is live at a time
         return _fit_heads(reps, labels, init, cfg)
 
     chunks = [indices[start : start + _LOO_CHUNK] for start in range(0, len(indices), _LOO_CHUNK)]

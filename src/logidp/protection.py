@@ -18,7 +18,7 @@ import numpy as np
 
 from .mechanisms import MechanismSpec, Sensitivity, budget_for_scale, sample_noise
 from .pipeline import check_model, encode, predict_from_representations
-from .rng import RngStream
+from .rng import RngStream, check_seed
 from .weights import WeightVector, load_weights, save_weights, write_json
 
 _NOISE_STREAM = 0
@@ -49,8 +49,7 @@ class ProtectedModel:
             raise ValueError("clean and noisy heads must share a shape_tag")
         if len(self.omega_clean) != len(self.omega_noisy):
             raise ValueError("clean and noisy heads must have equal length")
-        if not 0 <= int(self.noise_seed) < 2**64:
-            raise ValueError(f"noise_seed must fit in an unsigned 64-bit int, got {self.noise_seed}")
+        check_seed(self.noise_seed, "noise_seed")
 
 
 def protect_existing(theta: WeightVector, omega: WeightVector, spec: MechanismSpec, noise_seed: int) -> ProtectedModel:

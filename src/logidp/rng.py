@@ -18,13 +18,30 @@ _U64 = 2**64
 _UNIFORM_BITS = 52
 
 
+def check_int(value, name: str, low: int | None = 0) -> int:
+    """value as an int, if it is an integer (numpy's too, never a bool) of
+    at least low, when low is given; otherwise ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def check_seed(value, name: str = "seed") -> int:
+    """value as an int, if it is an integer in [0, 2**64)."""
+    if not 0 <= check_int(value, name, low=None) < _U64:
+        raise ValueError(f"{name} must fit in u64, got {value}")
+    return int(value)
+
+
 def derive_seed(master_seed: int, *labels) -> int:
     """Mix a master seed and a label path into a fresh 64-bit seed.
 
     blake2b over the decimal-rendered seed and labels, so derived seeds are
     stable across platforms and process restarts.
     """
-    key = ":".join([str(int(master_seed))] + [str(lab) for lab in labels])
+    key = ":".join([str(check_seed(master_seed, "master_seed"))] + [str(lab) for lab in labels])
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
@@ -42,10 +59,8 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < _U64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit int, got {self.seed}")
-        if int(self.stream_index) < 0:
-            raise ValueError(f"stream_index must be nonnegative, got {self.stream_index}")
+        check_seed(self.seed)
+        check_int(self.stream_index, "stream_index")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

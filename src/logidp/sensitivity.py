@@ -18,7 +18,7 @@ import numpy as np
 
 from .mechanisms import MechanismKind, NormKind, Sensitivity
 from .pipeline import Dataset, TrainConfig, finetune_head
-from .rng import RngStream
+from .rng import RngStream, check_int, check_seed
 from .weights import WeightVector
 
 # An exhaustive pass costs n fits, one per record, but keeps n^2 pair rows.
@@ -38,8 +38,8 @@ class SensitivityEstimate:
     def __post_init__(self):
         norms = tuple((float(l1), float(l2)) for l1, l2 in self.per_pair_norms)
         object.__setattr__(self, "per_pair_norms", norms)
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
+        check_int(self.m, "m", 1)
+        check_seed(self.seed)
         if len(norms) != self.m:
             raise ValueError(f"expected {self.m} per-pair norms, got {len(norms)}")
         if not np.all(np.isfinite(norms)):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from logidp.mechanisms import (
 )
 from logidp.mia import AttackClassifierConfig
 from logidp.pipeline import TrainConfig
+from logidp.sensitivity import SensitivityEstimate
 from logidp.experiments import (
     AveragedRow,
     CsvDataSpec,
@@ -174,8 +176,13 @@ class TestSyntheticDataSpec:
             dataclasses.replace(DATA, pretrain=1000)
 
     def test_empty_split_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^shadow_out must be >= 1, got 0$"):
             dataclasses.replace(DATA, shadow_out=0)
+
+
+def test_csv_spec_rejects_zero_classes():
+    with pytest.raises(ValueError, match="^num_classes must be >= 1, got 0$"):
+        CsvDataSpec("a.csv", "b.csv", "c.csv", "d.csv", "e.csv", num_classes=0)
 
 
 class TestRunSweep:
@@ -568,3 +575,55 @@ class TestConfigSerialization:
         obj["rows"][0]["repeat"] = 0
         with pytest.raises(ValueError, match="rows: SweepRow has no field 'repeat'"):
             report_from_json_dict(obj)
+
+
+def classes_reached(*roots) -> set[type]:
+    """Every dataclass reachable from roots through their resolved field
+    annotations, into unions and tuples."""
+    seen, todo = set(), list(roots)
+    while todo:
+        tp = todo.pop()
+        if dataclasses.is_dataclass(tp) and tp not in seen:
+            seen.add(tp)
+            todo.extend(typing.get_type_hints(tp).values())
+        todo.extend(typing.get_args(tp))
+    return seen
+
+
+# one valid instance of each class the JSON reader builds: a report and its
+# stored averaged rows, and every block nested in them
+READER_SAMPLES = {type(obj): obj for obj in (
+    SweepReport((), Sensitivity(NormKind.L1, 0.5), small_config(), {"accuracy": 0.9, "mia_accuracy": 0.5}),
+    SweepRow(MechanismKind.LOGISTIC, 2.0, 0.25, 0.1, 0.5, 0),
+    AveragedRow(MechanismKind.LOGISTIC, 2.0, 0.25, 0.1, 0.5, 5),
+    small_config(), DATA, CsvDataSpec("a.csv", "b.csv", "c.csv", "d.csv", "e.csv", 5), PRE,
+    SampledSensitivity(8, 44), Sensitivity(NormKind.L1, 0.5), ATTACK,
+    SensitivityEstimate(0.3, 0.2, 1, 44, ((0.3, 0.2),)),
+)}
+INTEGER_FIELDS = [
+    pytest.param(cls, name, hint == tuple[int, ...], id=f"{cls.__name__}.{name}")
+    for cls in READER_SAMPLES for name, hint in typing.get_type_hints(cls).items()
+    if hint in (int, int | None, tuple[int, ...])
+]
+
+
+class TestIntegerFields:
+    """Each integer field checks its own type in its constructor, so a value
+    built in Python and one read from JSON meet the same rule."""
+
+    def test_samples_cover_every_class_the_reader_builds(self):
+        assert classes_reached(SweepReport, AveragedRow) == set(READER_SAMPLES)
+        names = {p.id for p in INTEGER_FIELDS}
+        assert {"TrainConfig.hidden_dims", "CsvDataSpec.num_classes", "SweepConfig.master_seed",
+                "SensitivityEstimate.seed", "SweepRow.repeat_index"} <= names
+
+    @pytest.mark.parametrize("cls, field, is_tuple", INTEGER_FIELDS)
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, "3"])
+    def test_non_integer_rejected_from_python(self, cls, field, is_tuple, bad):
+        value = (bad,) if is_tuple else bad
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+            dataclasses.replace(READER_SAMPLES[cls], **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(hidden_dims=(np.int32(6),), epochs=np.int64(60), seed=np.uint64(1))
+        assert cfg.hidden_dims == (6,) and type(cfg.hidden_dims[0]) is int

@@ -357,6 +357,15 @@ class TestAttackClassifier:
         with pytest.raises(ValueError, match="2 \\* num_classes \\+ 1 rows"):
             AttackClassifier((np.zeros((8, 4)), np.zeros((5, 1))), 4)
 
+    def test_layers_that_do_not_chain_rejected(self):
+        with pytest.raises(ValueError, match="^layer 1 must have 5 rows, one per output of layer 0 "
+                                             "and the bias, got 6$"):
+            AttackClassifier((np.zeros((9, 4)), np.zeros((6, 1))), 4)
+
+    def test_empty_layers_rejected(self):
+        with pytest.raises(ValueError, match="^layers must hold at least the output layer$"):
+            AttackClassifier((), 4)
+
     def test_output_layer_wider_than_one_unit_rejected(self):
         with pytest.raises(ValueError, match="single unit"):
             AttackClassifier((np.zeros((9, 4)), np.zeros((5, 2))), 4)

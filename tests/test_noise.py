@@ -27,6 +27,13 @@ class TestRngStream:
             RngStream(2**64)
         with pytest.raises(ValueError):
             RngStream(3, -1)
+        for seed in (1.5, True):
+            with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+                RngStream(seed)
+
+    def test_derive_seed_rejects_non_integer_master_seed(self):
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got 1.5$"):
+            derive_seed(1.5, "x")
 
     def test_uniforms_open_interval(self):
         u = RngStream(99, 0).uniforms(200_000)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -47,6 +48,12 @@ class TestProtectExisting:
         assert noise_vector(LOG, 99, 0).shape == (0,)
         spec, n = MechanismSpec(MechanismKind.LOGISTIC, 0.3), 10_000
         assert abs(noise_vector(spec, 12, n).mean()) < 5 * spec.scale * np.pi / np.sqrt(3 * n)
+
+    def test_non_integer_noise_seed_rejected(self, small):
+        *_, theta, omega = small
+        model = protect_existing(theta, omega, LOG, 1)
+        with pytest.raises(ValueError, match="^noise_seed must be an integer, got 1.5$"):
+            dataclasses.replace(model, noise_seed=1.5)
 
     def test_different_seed_changes_only_noisy(self, small):
         *_, theta, omega = small

@@ -80,6 +80,10 @@ class TestEstimateType:
         with pytest.raises(ValueError, match="must be finite"):
             _from_json_dict(SensitivityEstimate, json.loads(json.dumps(doc)))
 
+    def test_rejects_seed_outside_u64(self):
+        with pytest.raises(ValueError, match="^seed must fit in u64, got -1$"):
+            SensitivityEstimate(1.0, 1.0, 1, -1, ((1.0, 1.0),))
+
     def test_accepts_consistent_values(self):
         est = SensitivityEstimate(3.0, 2.0, 2, 7, ((3.0, 2.0), (1.0, 1.0)))
         assert est.delta_l1 == 3.0 and est.m == 2
