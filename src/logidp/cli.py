@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from .experiments import (
@@ -35,7 +34,7 @@ from .experiments import (
 from .mechanisms import MechanismKind, MechanismSpec, sample_noise
 from .mia import attack_accuracy
 from .protection import export_protected_model, protect_existing
-from .rng import RngStream, derive_seed
+from .rng import RngStream, check_float, derive_seed
 from .weights import write_json
 
 
@@ -54,8 +53,7 @@ def _budget_config(args):
     if (args.epsilon is None) == (args.scale is None):
         raise ValueError("give exactly one of --epsilon and --scale")
     flag, value = ("--epsilon", args.epsilon) if args.scale is None else ("--scale", args.scale)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{flag} must be positive and finite, got {value}")
+    check_float(value, flag, above=0)
     cfg = _load_config(args.config, args.seed)
     kind = MechanismKind(args.mechanism)
     check_calibration(cfg, [kind])

@@ -48,7 +48,7 @@ from .pipeline import (
     pretrain_encoder,
 )
 from .protection import protect_existing
-from .rng import check_int, check_seed, derive_seed
+from .rng import check_float, check_int, check_seed, derive_seed
 from .sensitivity import SensitivityEstimate, sample_sensitivity
 from .weights import WeightVector, write_json
 
@@ -73,6 +73,7 @@ class SyntheticDataSpec:
     def __post_init__(self):
         for name in ("num_classes", "per_class", "feature_dim", *_SPLIT_NAMES):
             check_int(getattr(self, name), name, 1)
+        check_float(self.cluster_spread, "cluster_spread", at_least=0)
         check_seed(self.seed)
         counts = self.split_counts()
         total = self.num_classes * self.per_class
@@ -162,24 +163,21 @@ class SweepConfig:
             raise ValueError("mechanisms must be nonempty")
         if len(set(self.mechanisms)) != len(self.mechanisms):
             raise ValueError("mechanisms must be distinct")
-        if (self.epsilon_grid is None) == (self.scale_grid is None):
-            raise ValueError("exactly one of epsilon_grid or scale_grid is required")
         for grid_name in ("epsilon_grid", "scale_grid"):
             grid = getattr(self, grid_name)
             if grid is None:
                 continue
-            grid = tuple(float(g) for g in grid)
+            grid = tuple(check_float(g, grid_name, above=0) for g in grid)
             object.__setattr__(self, grid_name, grid)
             if not grid:
                 raise ValueError(f"{grid_name} must be nonempty")
-            if any(not (np.isfinite(g) and g > 0) for g in grid):
-                raise ValueError(f"{grid_name} entries must be positive and finite")
             if len(set(grid)) != len(grid):
                 raise ValueError(f"{grid_name} entries must be distinct")
+        if (self.epsilon_grid is None) == (self.scale_grid is None):
+            raise ValueError("exactly one of epsilon_grid or scale_grid is required")
         check_int(self.repeats_per_point, "repeats_per_point", 1)
         check_seed(self.master_seed, "master_seed")
-        if not (np.isfinite(self.delta) and 0.0 <= self.delta < 1.0):
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
+        check_float(self.delta, "delta", at_least=0, below=1)
 
 
 @dataclass(frozen=True)
@@ -194,14 +192,10 @@ class _GridPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "mechanism", MechanismKind(self.mechanism))
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if not (np.isfinite(self.utility_loss) and self.utility_loss <= 1.0):
-            raise ValueError(f"utility_loss must be finite and <= 1, got {self.utility_loss}")
-        if not 0.0 <= self.mia_accuracy <= 1.0:
-            raise ValueError(f"mia_accuracy must lie in [0, 1], got {self.mia_accuracy}")
+        check_float(self.epsilon, "epsilon", above=0)
+        check_float(self.scale, "scale", above=0)
+        check_float(self.utility_loss, "utility_loss", at_most=1)
+        check_float(self.mia_accuracy, "mia_accuracy", at_least=0, at_most=1)
 
 
 @dataclass(frozen=True)
@@ -252,6 +246,8 @@ class SweepReport:
         base = self.unprotected_baseline
         if set(base) != {"accuracy", "mia_accuracy"}:
             raise ValueError("unprotected_baseline must carry accuracy and mia_accuracy")
+        for key, value in base.items():
+            check_float(value, f"unprotected_baseline.{key}", at_least=0, at_most=1)
 
     @property
     def averaged(self) -> tuple[AveragedRow, ...]:

@@ -24,7 +24,7 @@ from .noise import (
     sample_laplace,
     sample_logistic,
 )
-from .rng import RngStream
+from .rng import RngStream, check_float
 
 
 class NormKind(str, Enum):
@@ -69,9 +69,8 @@ class MechanismSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", MechanismKind(self.kind))
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        _check_delta(self.kind, self.delta)
+        check_float(self.scale, "scale", above=0)
+        _check_delta(self.kind, check_float(self.delta, "delta"))
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,8 @@ class PrivacyBudget:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not (math.isfinite(self.delta) and 0.0 <= self.delta < 1.0):
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
+        check_float(self.epsilon, "epsilon", above=0)
+        check_float(self.delta, "delta", at_least=0, below=1)
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,7 @@ class Sensitivity:
 
     def __post_init__(self):
         object.__setattr__(self, "norm", NormKind(self.norm))
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise ValueError(f"sensitivity must be positive and finite, got {self.value}")
+        check_float(self.value, "value", above=0)
 
     def for_mechanism(self, kind: MechanismKind) -> Sensitivity:
         """This sensitivity, if it is in the norm kind calibrates against."""

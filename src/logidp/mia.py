@@ -26,7 +26,7 @@ import numpy as np
 from .noise import logistic_cdf
 from .pipeline import Dataset, encode, one_hot, predict_from_representations
 from .protection import ProtectedModel
-from .rng import RngStream, check_int, check_seed
+from .rng import RngStream, check_float, check_int, check_seed
 from .weights import WeightVector
 
 _STREAM_IN = 0
@@ -87,8 +87,7 @@ class AttackClassifierConfig:
         if check_int(self.train_pairs, "train_pairs", 2) % 2:
             raise ValueError(f"train_pairs must be even, got {self.train_pairs}")
         check_seed(self.seed)
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        check_float(self.learning_rate, "learning_rate", above=0)
 
 
 @dataclass(frozen=True)

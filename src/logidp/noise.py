@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
-
-
-def _check_location_scale(mu: float, scale: float, name: str) -> None:
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu}")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"{name} must be positive and finite, got {scale}")
+from .rng import RngStream, check_float
 
 
 @dataclass(frozen=True)
@@ -31,7 +24,8 @@ class LogisticParams:
     s: float = 1.0
 
     def __post_init__(self):
-        _check_location_scale(self.mu, self.s, "s")
+        check_float(self.mu, "mu")
+        check_float(self.s, "s", above=0)
 
 
 @dataclass(frozen=True)
@@ -42,7 +36,8 @@ class LaplaceParams:
     b: float = 1.0
 
     def __post_init__(self):
-        _check_location_scale(self.mu, self.b, "b")
+        check_float(self.mu, "mu")
+        check_float(self.b, "b", above=0)
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,8 @@ class GaussianParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        _check_location_scale(self.mu, self.sigma, "sigma")
+        check_float(self.mu, "mu")
+        check_float(self.sigma, "sigma", above=0)
 
 
 def _standardized(x, mu: float, scale: float) -> np.ndarray:

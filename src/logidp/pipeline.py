@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, check_int, check_seed
+from .rng import RngStream, check_float, check_int, check_seed
 from .weights import WeightVector, make_tag, parse_tag
 
 # Pseudo-label task size: the identity plus three seeded transformations.
@@ -65,12 +65,9 @@ class TrainConfig:
                            tuple(check_int(h, "hidden_dims", 1) for h in self.hidden_dims))
         check_int(self.epochs, "epochs", 1)
         check_seed(self.seed)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
-        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
-            raise ValueError(f"init_scale must be positive, got {self.init_scale}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        check_float(self.learning_rate, "learning_rate", at_least=0)
+        check_float(self.init_scale, "init_scale", above=0)
+        check_float(self.weight_decay, "weight_decay", at_least=0)
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,10 @@ class Dataset:
 
     def __post_init__(self):
         f = np.array(self.features, dtype=np.float64, copy=True)
-        y = np.array(self.labels, dtype=np.int64, copy=True)
+        y = np.asarray(self.labels)
+        if y.size and not np.issubdtype(y.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got dtype {y.dtype}")
+        y = np.array(y, dtype=np.int64, copy=True)
         if f.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {f.shape}")
         if y.shape != (f.shape[0],):
@@ -180,10 +180,10 @@ def make_synthetic_dataset(
     factors follow class_spread_factors, so some classes are tight and some
     diffuse around the same nominal spread.
     """
-    if num_classes < 1 or per_class < 1 or feature_dim < 1:
-        raise ValueError("num_classes, per_class, and feature_dim must be >= 1")
-    if not (math.isfinite(cluster_spread) and cluster_spread >= 0):
-        raise ValueError(f"cluster_spread must be nonnegative, got {cluster_spread}")
+    check_int(num_classes, "num_classes", 1)
+    check_int(per_class, "per_class", 1)
+    check_int(feature_dim, "feature_dim", 1)
+    check_float(cluster_spread, "cluster_spread", at_least=0)
     from .noise import GaussianParams, sample_gaussian
 
     unit = GaussianParams(0.0, 1.0)

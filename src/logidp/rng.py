@@ -8,6 +8,8 @@ k-th draw of a given (seed, stream_index) is the same in every run.
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,20 @@ def check_int(value, name: str, low: int | None = 0) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def check_float(value, name: str, *, above=None, at_least=None, below=None, at_most=None) -> float:
+    """value as a float, if it is a finite number (an int, a float or a numpy
+    real, never a bool or a string) within every bound given; otherwise
+    ValueError naming the field."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and -math.inf < value < math.inf):  # NaN fails it too
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    for bound, op, holds in ((above, ">", operator.gt), (at_least, ">=", operator.ge),
+                             (below, "<", operator.lt), (at_most, "<=", operator.le)):
+        if bound is not None and not holds(value, bound):
+            raise ValueError(f"{name} must be {op} {bound}, got {value}")
+    return float(value)
 
 
 def check_seed(value, name: str = "seed") -> int:
@@ -74,9 +90,7 @@ class RngStream:
         of 2**-53, so exact 0.0 and 1.0 never occur, every value is exactly
         representable, and the set is symmetric about 0.5.
         """
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
-        k = self.generator().integers(0, 1 << _UNIFORM_BITS, size=int(n), dtype=np.int64)
+        k = self.generator().integers(0, 1 << _UNIFORM_BITS, size=check_int(n, "n"), dtype=np.int64)
         return (2 * k + 1) * (2.0**-53)
 
     def indices(self, n: int, upper: int) -> np.ndarray:
@@ -85,8 +99,7 @@ class RngStream:
         Scaled from the uniform stream, so a longer draw extends a shorter
         one element for element (prefix property).
         """
-        if upper <= 0:
-            raise ValueError(f"upper must be positive, got {upper}")
+        check_int(upper, "upper", 1)
         u = self.uniforms(n)
         return np.minimum((u * upper).astype(np.int64), upper - 1)
 

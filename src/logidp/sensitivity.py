@@ -11,6 +11,7 @@ exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 # annotations only: a module-level Callable alias would pin each import's classes in typing's caches
 from typing import Callable
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .mechanisms import MechanismKind, NormKind, Sensitivity
 from .pipeline import Dataset, TrainConfig, finetune_head
-from .rng import RngStream, check_int, check_seed
+from .rng import RngStream, check_float, check_int, check_seed
 from .weights import WeightVector
 
 # An exhaustive pass costs n fits, one per record, but keeps n^2 pair rows.
@@ -36,16 +37,15 @@ class SensitivityEstimate:
     per_pair_norms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        norms = tuple((float(l1), float(l2)) for l1, l2 in self.per_pair_norms)
+        norm = partial(check_float, name="per_pair_norms", at_least=0)
+        norms = tuple((norm(l1), norm(l2)) for l1, l2 in self.per_pair_norms)
         object.__setattr__(self, "per_pair_norms", norms)
         check_int(self.m, "m", 1)
         check_seed(self.seed)
+        check_float(self.delta_l1, "delta_l1")
+        check_float(self.delta_l2, "delta_l2")
         if len(norms) != self.m:
             raise ValueError(f"expected {self.m} per-pair norms, got {len(norms)}")
-        if not np.all(np.isfinite(norms)):
-            raise ValueError("per-pair norms must be finite")
-        if any(l1 < 0 or l2 < 0 for l1, l2 in norms):
-            raise ValueError("per-pair norms must be nonnegative")
         if any(l2 > l1 * (1 + 1e-12) + 1e-300 for l1, l2 in norms):
             raise ValueError("per-pair l2 norm cannot exceed the l1 norm")
         if self.delta_l1 != max(l1 for l1, _ in norms):
@@ -63,8 +63,7 @@ def sensitivity_index_pairs(n: int, m: int, seed: int) -> np.ndarray:
     so the first pairs for a larger m reproduce those of a smaller m."""
     if n < 2:
         raise ValueError(f"need at least 2 records to form pairs, got {n}")
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    check_int(m, "m", 1)
     return RngStream(seed, 0).indices(2 * m, n).reshape(m, 2)
 
 
@@ -86,8 +85,7 @@ def sample_sensitivity(
     """
     if len(d) < 2:
         raise ValueError(f"need at least 2 records, got {len(d)}")
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    check_int(m, "m", 1)
     if pairs is None:
         pairs = sensitivity_index_pairs(len(d), m, seed)
     else:

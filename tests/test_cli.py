@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line interface."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -207,7 +208,8 @@ class TestBudgetPointChecks:
         code = main([command, "--config", str(config_path), "--mechanism", "logistic",
                      flag, value, "--out", str(out)])
         assert code == 1
-        assert f"error: {flag} must be positive and finite" in capsys.readouterr().err
+        rule = "> 0" if math.isfinite(float(value)) else "a finite number"
+        assert f"error: {flag} must be {rule}, got {float(value)}\n" in capsys.readouterr().err
         assert pretrain_calls == []
         assert list(tmp_path.iterdir()) == []
 
@@ -514,7 +516,7 @@ class TestReport:
         bad.write_text(json.dumps(doc))
         out = tmp_path / "out.csv"
         assert main(["report", "--in", str(bad), "--out", str(out)]) == 1
-        assert "per-pair norms must be finite" in capsys.readouterr().err
+        assert "per_pair_norms must be a finite number, got nan" in capsys.readouterr().err
         assert not out.exists()
 
 

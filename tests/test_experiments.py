@@ -19,6 +19,7 @@ from logidp.mechanisms import (
     scale_for_budget,
 )
 from logidp.mia import AttackClassifierConfig
+from logidp.noise import GaussianParams, LaplaceParams, LogisticParams
 from logidp.pipeline import TrainConfig
 from logidp.sensitivity import SensitivityEstimate
 from logidp.experiments import (
@@ -67,7 +68,6 @@ def small_config(**overrides):
 
 
 u64 = st.integers(0, 2**64 - 1)
-finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 
@@ -77,7 +77,7 @@ def synthetic_specs(draw):
     num_classes, per_class = draw(st.integers(1, 6)), draw(st.integers(5, 40))
     most = num_classes * per_class // 5
     counts = draw(st.lists(st.integers(1, most), min_size=5, max_size=5))
-    return SyntheticDataSpec(num_classes, per_class, draw(st.integers(1, 16)), draw(finite),
+    return SyntheticDataSpec(num_classes, per_class, draw(st.integers(1, 16)), draw(nonnegative),
                              draw(u64), *counts)
 
 
@@ -387,6 +387,19 @@ class TestEmitReport:
         with pytest.raises(ValueError, match=f"averaged: {field} must"):
             load_report(path)
 
+    @pytest.mark.parametrize("baseline, message", [
+        ({"accuracy": "high", "mia_accuracy": True}, "unprotected_baseline.accuracy must be a finite number, got 'high'"),
+        ({"accuracy": 0.9, "mia_accuracy": True}, "unprotected_baseline.mia_accuracy must be a finite number, got True"),
+        ({"accuracy": 1.5, "mia_accuracy": 0.5}, "unprotected_baseline.accuracy must be <= 1, got 1.5"),
+    ])
+    def test_load_rejects_baseline_that_is_not_two_rates(self, tmp_path, baseline, message):
+        doc = report_to_json_dict(handmade_report([0.0, 0.1, 0.2], [0.6, 0.55, 0.5]))
+        doc["unprotected_baseline"] = baseline
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_report(path)
+
     def test_load_rejects_averaged_rows_that_are_not_the_row_means(self, tmp_path):
         doc = report_to_json_dict(handmade_report([0.0, 0.1, 0.2], [0.6, 0.55, 0.5]))
         doc["averaged"][0]["utility_loss"] = 0.9
@@ -546,7 +559,8 @@ class TestConfigSerialization:
     def test_nonpositive_fixed_sensitivity_rejected_at_load(self, value):
         obj = json.loads(json.dumps(config_to_json_dict(small_config())))
         obj["sensitivity"] = {"kind": "fixed", "norm": "l1", "value": value}
-        with pytest.raises(ValueError, match="sensitivity: sensitivity must be positive"):
+        rule = "> 0" if math.isfinite(value) else "a finite number"
+        with pytest.raises(ValueError, match=f"^sensitivity: value must be {rule}, got {value}$"):
             config_from_json_dict(obj)
 
     def test_omitted_training_keys_take_train_config_defaults(self):
@@ -627,3 +641,69 @@ class TestIntegerFields:
     def test_numpy_integers_accepted(self):
         cfg = TrainConfig(hidden_dims=(np.int32(6),), epochs=np.int64(60), seed=np.uint64(1))
         assert cfg.hidden_dims == (6,) and type(cfg.hidden_dims[0]) is int
+
+
+# constructors the JSON reader does not build, walked for their float fields
+FLOAT_ONLY_SAMPLES = {type(obj): obj for obj in (
+    MechanismSpec(MechanismKind.LOGISTIC, 1.0), PrivacyBudget(1.0),
+    LogisticParams(), LaplaceParams(), GaussianParams(),
+)}
+FLOAT_FIELDS = [
+    pytest.param(cls, name, hint != float, id=f"{cls.__name__}.{name}")
+    for cls in (*READER_SAMPLES, *FLOAT_ONLY_SAMPLES) for name, hint in typing.get_type_hints(cls).items()
+    if hint in (float, tuple[float, ...] | None)
+]
+
+
+class TestFloatFields:
+    """Each float field checks itself through rng.check_float in its
+    constructor, so a bool, a string or a non-finite value fails the same way
+    built in Python and read from JSON."""
+
+    def test_walk_reaches_every_kind_of_float_field(self):
+        names = {p.id for p in FLOAT_FIELDS}
+        assert {"SweepConfig.epsilon_grid", "SweepConfig.scale_grid", "SweepConfig.delta",
+                "SyntheticDataSpec.cluster_spread", "TrainConfig.learning_rate", "Sensitivity.value",
+                "AttackClassifierConfig.learning_rate", "SensitivityEstimate.delta_l1",
+                "SweepRow.mia_accuracy", "AveragedRow.utility_loss", "MechanismSpec.delta",
+                "PrivacyBudget.epsilon", "LogisticParams.s", "LaplaceParams.b",
+                "GaussianParams.mu"} <= names
+
+    @pytest.mark.parametrize("cls, field, is_tuple", FLOAT_FIELDS)
+    @pytest.mark.parametrize("bad", [True, "1.5", math.nan])
+    def test_non_number_rejected_from_python(self, cls, field, is_tuple, bad):
+        value = (bad,) if is_tuple else bad
+        sample = READER_SAMPLES.get(cls) or FLOAT_ONLY_SAMPLES[cls]
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {re.escape(repr(bad))}$"):
+            dataclasses.replace(sample, **{field: value})
+
+    @pytest.mark.parametrize("bad, rule", [
+        (True, "a finite number, got True"), ("1.5", "a finite number, got '1.5'"),
+        (math.nan, "a finite number, got nan"), (-0.5, ">= 0, got -0.5"),
+    ])
+    def test_per_pair_norms_are_nonnegative_numbers(self, bad, rule):
+        for pair in ((bad, 0.2), (0.3, bad)):
+            with pytest.raises(ValueError, match=f"^per_pair_norms must be {re.escape(rule)}$"):
+                dataclasses.replace(READER_SAMPLES[SensitivityEstimate], per_pair_norms=(pair,))
+
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("finetune", "learning_rate", True, "finetune: learning_rate must be a finite number, got True"),
+        ("dataset", "cluster_spread", True, "dataset: cluster_spread must be a finite number, got True"),
+        ("sensitivity", "value", True, "sensitivity: value must be a finite number, got True"),
+        (None, "epsilon_grid", ["1.5", 0.5, 0.25], "epsilon_grid must be a finite number, got '1.5'"),
+        (None, "epsilon_grid", [True, 0.5, 0.25], "epsilon_grid must be a finite number, got True"),
+    ])
+    def test_non_number_rejected_from_json(self, block, key, value, message):
+        obj = json.loads(json.dumps(config_to_json_dict(small_config(sensitivity=Sensitivity(NormKind.L1, 0.5)))))
+        (obj[block] if block else obj)[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_json_dict(obj)
+
+    def test_numbers_keep_the_value_they_were_given(self):
+        obj = json.loads(json.dumps(config_to_json_dict(small_config())))
+        obj["finetune"]["learning_rate"] = 1
+        cfg = config_from_json_dict(obj)
+        assert type(cfg.finetune.learning_rate) is int
+        assert config_to_json_dict(cfg)["finetune"]["learning_rate"] == 1
+        assert TrainConfig(learning_rate=np.float32(0.25), weight_decay=np.int64(0)).learning_rate == 0.25
+        assert small_config(epsilon_grid=(np.float32(2.0), 1)).epsilon_grid == (2.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from logidp.noise import (
     sample_laplace,
     sample_logistic,
 )
-from logidp.rng import RngStream, derive_seed
+from logidp.rng import RngStream, check_float, derive_seed
 
 
 class TestRngStream:
@@ -34,6 +35,24 @@ class TestRngStream:
     def test_derive_seed_rejects_non_integer_master_seed(self):
         with pytest.raises(ValueError, match="^master_seed must be an integer, got 1.5$"):
             derive_seed(1.5, "x")
+
+    @pytest.mark.parametrize("value, bounds, message", [
+        (-1.0, {"above": 0}, "scale must be > 0, got -1.0"),
+        (0, {"at_least": 0.5}, "scale must be >= 0.5, got 0"),
+        (1.0, {"at_least": 0, "below": 1}, "scale must be < 1, got 1.0"),
+        (1.5, {"at_least": 0, "at_most": 1}, "scale must be <= 1, got 1.5"),
+        (np.float32("inf"), {}, f"scale must be a finite number, got {np.float32('inf')!r}"),
+        (np.bool_(True), {}, f"scale must be a finite number, got {np.bool_(True)!r}"),
+        (None, {}, "scale must be a finite number, got None"),
+    ])
+    def test_check_float_refusals(self, value, bounds, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_float(value, "scale", **bounds)
+
+    def test_check_float_returns_a_float(self):
+        for value in (3, np.int64(3), np.float32(3.0), 3.0):
+            got = check_float(value, "x", above=0, at_least=3, below=4, at_most=3)
+            assert got == 3.0 and type(got) is float
 
     def test_uniforms_open_interval(self):
         u = RngStream(99, 0).uniforms(200_000)

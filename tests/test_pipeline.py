@@ -146,6 +146,15 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((1, 2)), [-1], 2)
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.9], [True, False], np.array([0.0, 1.0])])
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        with pytest.raises(ValueError, match=r"^labels must be integers, got dtype (float64|bool)$"):
+            Dataset(np.zeros((2, 3)), labels, 3)
+
+    def test_integer_and_empty_labels_accepted(self):
+        assert Dataset(np.zeros((2, 3)), np.array([2, 0], dtype=np.uint8), 3).labels.dtype == np.int64
+        assert len(Dataset(np.zeros((0, 3)), [], 3)) == 0
+
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValueError):
             Dataset([[np.nan, 0.0]], [0], 1)

@@ -69,15 +69,16 @@ class TestEstimateType:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_nonfinite_norms(self, bad):
         # a non-finite pair anywhere must not hide behind a finite max
-        with pytest.raises(ValueError, match="must be finite"):
+        refused = f"^per_pair_norms must be a finite number, got {bad}$"
+        with pytest.raises(ValueError, match=refused):
             SensitivityEstimate(1.0, 0.5, 2, 0, ((1.0, 0.5), (bad, bad)))
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=refused):
             SensitivityEstimate(1.0, 0.5, 2, 0, ((bad, bad), (1.0, 0.5)))
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=refused):
             SensitivityEstimate(1.0, 0.5, 2, 0, ((1.0, 0.5), (0.5, bad)))
         # JSON reads NaN and Infinity, so a saved estimate is checked the same way
         doc = {"delta_l1": 1.0, "delta_l2": 0.5, "m": 2, "seed": 0, "per_pair_norms": [[1.0, 0.5], [bad, bad]]}
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=refused):
             _from_json_dict(SensitivityEstimate, json.loads(json.dumps(doc)))
 
     def test_rejects_seed_outside_u64(self):
