@@ -48,7 +48,7 @@ from .pipeline import (
     pretrain_encoder,
 )
 from .protection import protect_existing
-from .rng import check_float, check_int, check_seed, derive_seed
+from .rng import check_float, check_int, check_list, check_seed, derive_seed
 from .sensitivity import SensitivityEstimate, sample_sensitivity
 from .weights import WeightVector, write_json
 
@@ -157,7 +157,7 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "mechanisms", tuple(MechanismKind(m) for m in self.mechanisms)
+            self, "mechanisms", tuple(MechanismKind(m) for m in check_list(self.mechanisms, "mechanisms"))
         )
         if not self.mechanisms:
             raise ValueError("mechanisms must be nonempty")
@@ -167,7 +167,7 @@ class SweepConfig:
             grid = getattr(self, grid_name)
             if grid is None:
                 continue
-            grid = tuple(check_float(g, grid_name, above=0) for g in grid)
+            grid = tuple(check_float(g, grid_name, above=0) for g in check_list(grid, grid_name))
             object.__setattr__(self, grid_name, grid)
             if not grid:
                 raise ValueError(f"{grid_name} must be nonempty")

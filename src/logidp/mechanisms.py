@@ -16,14 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .noise import (
-    GaussianParams,
-    LaplaceParams,
-    LogisticParams,
-    sample_gaussian,
-    sample_laplace,
-    sample_logistic,
-)
+from .noise import sample_gaussian, sample_laplace, sample_logistic
 from .rng import RngStream, check_float
 
 
@@ -132,10 +125,10 @@ def budget_for_scale(spec: MechanismSpec, sens: Sensitivity) -> PrivacyBudget:
 def sample_noise(spec: MechanismSpec, rng: RngStream, n: int) -> np.ndarray:
     """n iid location-0 noise draws for the spec; pure in (spec, rng, n)."""
     if spec.kind is MechanismKind.LOGISTIC:
-        return sample_logistic(rng, LogisticParams(0.0, spec.scale), n)
+        return sample_logistic(rng, spec.scale, n)
     if spec.kind is MechanismKind.LAPLACE:
-        return sample_laplace(rng, LaplaceParams(0.0, spec.scale), n)
-    return sample_gaussian(rng, GaussianParams(0.0, spec.scale), n)
+        return sample_laplace(rng, spec.scale, n)
+    return sample_gaussian(rng, spec.scale, n)
 
 
 def _log_density_ratio(kind: MechanismKind, scale: float, gamma: float, z: np.ndarray) -> np.ndarray:

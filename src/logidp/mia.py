@@ -61,7 +61,7 @@ class AttackRecord:
         nonzero = np.flatnonzero(lab)
         if len(nonzero) != 1 or lab[nonzero[0]] != 1.0:
             raise ValueError("label_onehot must have exactly one entry equal to 1")
-        if self.membership not in (0, 1):
+        if check_int(self.membership, "membership", low=None) not in (0, 1):
             raise ValueError(f"membership must be 0 or 1, got {self.membership}")
 
     @property

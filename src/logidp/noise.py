@@ -1,8 +1,10 @@
-"""Location-scale noise families: logistic, Laplace, Gaussian.
+"""Noise families: logistic, Laplace, Gaussian.
 
-Densities are evaluated through exp(-|t|) so large arguments underflow to
-zero instead of overflowing, and samplers map open-interval uniforms through
-exact inverse transforms. Everything is float64; the density-ratio privacy
+The logistic density and CDF take a location and a scale. Each sampler takes
+only the scale it draws at and returns location-0 draws, mapping the
+stream's open-interval uniforms through exact inverse transforms. Densities
+are evaluated through exp(-|t|) so large arguments underflow to zero instead
+of overflowing. Everything is float64; the density-ratio privacy
 certificates downstream need roughly 1e-12 of headroom.
 """
 
@@ -26,30 +28,6 @@ class LogisticParams:
     def __post_init__(self):
         check_float(self.mu, "mu")
         check_float(self.s, "s", above=0)
-
-
-@dataclass(frozen=True)
-class LaplaceParams:
-    """Laplace location mu and scale b; variance is 2 b^2."""
-
-    mu: float = 0.0
-    b: float = 1.0
-
-    def __post_init__(self):
-        check_float(self.mu, "mu")
-        check_float(self.b, "b", above=0)
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Gaussian location mu and standard deviation sigma."""
-
-    mu: float = 0.0
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        check_float(self.mu, "mu")
-        check_float(self.sigma, "sigma", above=0)
 
 
 def _standardized(x, mu: float, scale: float) -> np.ndarray:
@@ -80,27 +58,31 @@ def logistic_cdf(x, p: LogisticParams = LogisticParams()):
     return _match_shape(np.where(t >= 0, 1.0, e) / (1.0 + e), x)
 
 
-def sample_logistic(rng: RngStream, p: LogisticParams, n: int) -> np.ndarray:
-    """n iid draws via the inverse CDF mu + s ln(u / (1 - u))."""
+def sample_logistic(rng: RngStream, scale: float, n: int) -> np.ndarray:
+    """n iid draws via the inverse CDF scale * ln(u / (1 - u))."""
+    check_float(scale, "scale", above=0)
     u = rng.uniforms(n)
-    return p.mu + p.s * np.log(u / (1.0 - u))
+    return scale * np.log(u / (1.0 - u))
 
 
-def sample_laplace(rng: RngStream, p: LaplaceParams, n: int) -> np.ndarray:
-    """n iid draws via mu - b sgn(u - 1/2) ln(1 - 2|u - 1/2|)."""
+def sample_laplace(rng: RngStream, scale: float, n: int) -> np.ndarray:
+    """n iid draws via -scale * sgn(u - 1/2) ln(1 - 2|u - 1/2|)."""
+    check_float(scale, "scale", above=0)
     u = rng.uniforms(n)
     c = u - 0.5
-    return p.mu - p.b * np.sign(c) * np.log1p(-2.0 * np.abs(c))
+    return -scale * np.sign(c) * np.log1p(-2.0 * np.abs(c))
 
 
-def sample_gaussian(rng: RngStream, p: GaussianParams, n: int) -> np.ndarray:
-    """n iid draws via the Box-Muller transform of uniform pairs."""
+def sample_gaussian(rng: RngStream, scale: float, n: int) -> np.ndarray:
+    """n iid draws with standard deviation scale via the Box-Muller
+    transform of uniform pairs: the cosines of all pairs, then their sines."""
+    check_float(scale, "scale", above=0)
     m = (int(n) + 1) // 2
     u = rng.uniforms(2 * m)
     r = np.sqrt(-2.0 * np.log(u[:m]))
     a = (2.0 * math.pi) * u[m:]
     z = np.concatenate([r * np.cos(a), r * np.sin(a)])[: int(n)]
-    return p.mu + p.sigma * z
+    return scale * z
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:

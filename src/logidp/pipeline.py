@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, check_float, check_int, check_seed
+from .rng import RngStream, check_float, check_int, check_list, check_seed
 from .weights import WeightVector, make_tag, parse_tag
 
 # Pseudo-label task size: the identity plus three seeded transformations.
@@ -61,8 +61,8 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims",
-                           tuple(check_int(h, "hidden_dims", 1) for h in self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", tuple(
+            check_int(h, "hidden_dims", 1) for h in check_list(self.hidden_dims, "hidden_dims")))
         check_int(self.epochs, "epochs", 1)
         check_seed(self.seed)
         check_float(self.learning_rate, "learning_rate", at_least=0)
@@ -184,14 +184,13 @@ def make_synthetic_dataset(
     check_int(per_class, "per_class", 1)
     check_int(feature_dim, "feature_dim", 1)
     check_float(cluster_spread, "cluster_spread", at_least=0)
-    from .noise import GaussianParams, sample_gaussian
+    from .noise import sample_gaussian
 
-    unit = GaussianParams(0.0, 1.0)
-    centers = sample_gaussian(RngStream(seed, 0), unit, num_classes * feature_dim)
+    centers = sample_gaussian(RngStream(seed, 0), 1.0, num_classes * feature_dim)
     centers = centers.reshape(num_classes, feature_dim)
     n = num_classes * per_class
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    jitter = sample_gaussian(RngStream(seed, 1), unit, n * feature_dim).reshape(n, feature_dim)
+    jitter = sample_gaussian(RngStream(seed, 1), 1.0, n * feature_dim).reshape(n, feature_dim)
     spread = cluster_spread * class_spread_factors(num_classes)
     features = centers[labels] + spread[labels, None] * jitter
     order = RngStream(seed, 2).permutation(n)

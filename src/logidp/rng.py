@@ -31,17 +31,31 @@ def check_int(value, name: str, low: int | None = 0) -> int:
 
 
 def check_float(value, name: str, *, above=None, at_least=None, below=None, at_most=None) -> float:
-    """value as a float, if it is a finite number (an int, a float or a numpy
-    real, never a bool or a string) within every bound given; otherwise
-    ValueError naming the field."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and -math.inf < value < math.inf):  # NaN fails it too
+    """value as a float, if it is a number (an int, a float or a numpy real,
+    never a bool or a string) whose float is finite and within every bound
+    given; otherwise ValueError naming the field."""
+    number = math.nan
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     for bound, op, holds in ((above, ">", operator.gt), (at_least, ">=", operator.ge),
                              (below, "<", operator.lt), (at_most, "<=", operator.le)):
-        if bound is not None and not holds(value, bound):
+        if bound is not None and not holds(number, bound):
             raise ValueError(f"{name} must be {op} {bound}, got {value}")
-    return float(value)
+    return number
+
+
+def check_list(value, name: str) -> tuple:
+    """value as a tuple, if it is a list (a Python list or tuple, or a 1-d
+    numpy array; never a string or a scalar); otherwise ValueError naming
+    the field."""
+    if not (isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def check_seed(value, name: str = "seed") -> int:

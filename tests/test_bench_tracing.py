@@ -13,8 +13,11 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
 import logidp.experiments  # noqa: E402
+import logidp.mechanisms  # noqa: E402
+from logidp.mechanisms import MechanismSpec  # noqa: E402
 from logidp.mia import AttackClassifierConfig, build_attack_dataset, train_attack_classifier  # noqa: E402
 from logidp.pipeline import TrainConfig, finetune_head, make_synthetic_dataset, pretrain_encoder  # noqa: E402
+from logidp.rng import RngStream  # noqa: E402
 
 
 def test_every_traced_function_is_looked_up_by_another_module():
@@ -23,6 +26,18 @@ def test_every_traced_function_is_looked_up_by_another_module():
         assert logidp.experiments.train_attack_classifier is not train_attack_classifier
     assert recorder.unwrapped == []
     assert logidp.experiments.train_attack_classifier is train_attack_classifier
+
+
+def test_every_noise_draw_goes_through_its_traced_sampler():
+    # a lookup site alone is not enough: sample_noise must call the samplers
+    # through the names the wrappers replace
+    recorder = spans.SpanRecorder()
+    with spans.instrumented(recorder):
+        for spec in (MechanismSpec("logistic", 0.5), MechanismSpec("laplace", 0.5),
+                     MechanismSpec("gaussian", 0.5, 1e-5)):
+            logidp.mechanisms.sample_noise(spec, RngStream(3), 4)
+    assert [s.name for s in recorder.spans if s.name.startswith("noise.")] == [
+        "noise.sample_logistic", "noise.sample_laplace", "noise.sample_gaussian"]
 
 
 def test_attack_flop_counts_the_trainer_arguments():

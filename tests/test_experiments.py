@@ -19,7 +19,7 @@ from logidp.mechanisms import (
     scale_for_budget,
 )
 from logidp.mia import AttackClassifierConfig
-from logidp.noise import GaussianParams, LaplaceParams, LogisticParams
+from logidp.noise import LogisticParams
 from logidp.pipeline import TrainConfig
 from logidp.sensitivity import SensitivityEstimate
 from logidp.experiments import (
@@ -645,8 +645,7 @@ class TestIntegerFields:
 
 # constructors the JSON reader does not build, walked for their float fields
 FLOAT_ONLY_SAMPLES = {type(obj): obj for obj in (
-    MechanismSpec(MechanismKind.LOGISTIC, 1.0), PrivacyBudget(1.0),
-    LogisticParams(), LaplaceParams(), GaussianParams(),
+    MechanismSpec(MechanismKind.LOGISTIC, 1.0), PrivacyBudget(1.0), LogisticParams(),
 )}
 FLOAT_FIELDS = [
     pytest.param(cls, name, hint != float, id=f"{cls.__name__}.{name}")
@@ -666,8 +665,7 @@ class TestFloatFields:
                 "SyntheticDataSpec.cluster_spread", "TrainConfig.learning_rate", "Sensitivity.value",
                 "AttackClassifierConfig.learning_rate", "SensitivityEstimate.delta_l1",
                 "SweepRow.mia_accuracy", "AveragedRow.utility_loss", "MechanismSpec.delta",
-                "PrivacyBudget.epsilon", "LogisticParams.s", "LaplaceParams.b",
-                "GaussianParams.mu"} <= names
+                "PrivacyBudget.epsilon", "LogisticParams.s", "LogisticParams.mu"} <= names
 
     @pytest.mark.parametrize("cls, field, is_tuple", FLOAT_FIELDS)
     @pytest.mark.parametrize("bad", [True, "1.5", math.nan])
@@ -692,12 +690,34 @@ class TestFloatFields:
         ("sensitivity", "value", True, "sensitivity: value must be a finite number, got True"),
         (None, "epsilon_grid", ["1.5", 0.5, 0.25], "epsilon_grid must be a finite number, got '1.5'"),
         (None, "epsilon_grid", [True, 0.5, 0.25], "epsilon_grid must be a finite number, got True"),
+        # json.loads reads a 400-digit integer literal as this int
+        pytest.param("finetune", "learning_rate", 10**399,
+                     f"finetune: learning_rate must be a finite number, got {10**399}", id="int-beyond-float"),
     ])
     def test_non_number_rejected_from_json(self, block, key, value, message):
         obj = json.loads(json.dumps(config_to_json_dict(small_config(sensitivity=Sensitivity(NormKind.L1, 0.5)))))
         (obj[block] if block else obj)[key] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config_from_json_dict(obj)
+
+    @pytest.mark.parametrize("block, key, value, message", [
+        (None, "epsilon_grid", 2.0, "epsilon_grid must be a list, got 2.0"),
+        (None, "epsilon_grid", "2.0", "epsilon_grid must be a list, got '2.0'"),
+        (None, "mechanisms", "logistic", "mechanisms must be a list, got 'logistic'"),
+        ("pretrain", "hidden_dims", 4, "pretrain: hidden_dims must be a list, got 4"),
+    ])
+    def test_scalar_for_a_list_rejected_from_json(self, block, key, value, message):
+        obj = json.loads(json.dumps(config_to_json_dict(small_config())))
+        (obj[block] if block else obj)[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_json_dict(obj)
+
+    def test_lists_tuples_and_arrays_accepted(self):
+        for grid in ([2.0, 1.0], (2.0, 1.0), np.array([2.0, 1.0])):
+            cfg = small_config(epsilon_grid=grid, mechanisms=np.array(["logistic", "laplace"]),
+                               pretrain=TrainConfig(hidden_dims=np.array([4])))
+            assert cfg.epsilon_grid == (2.0, 1.0) and cfg.pretrain.hidden_dims == (4,)
+            assert cfg.mechanisms == (MechanismKind.LOGISTIC, MechanismKind.LAPLACE)
 
     def test_numbers_keep_the_value_they_were_given(self):
         obj = json.loads(json.dumps(config_to_json_dict(small_config())))

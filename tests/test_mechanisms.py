@@ -19,7 +19,7 @@ from logidp.mechanisms import (
     sample_noise,
     scale_for_budget,
 )
-from logidp.noise import LogisticParams, sample_logistic
+from logidp.noise import sample_logistic
 from logidp.rng import RngStream
 
 L1 = Sensitivity(NormKind.L1, 1.0)
@@ -62,9 +62,28 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="'cauchy' is not a valid MechanismKind"):
             MechanismSpec("cauchy", 1.0)
 
+    @pytest.mark.parametrize("n", [0, 1, 1001])
+    def test_noise_bytes_are_the_inverse_transforms_of_the_uniforms(self, n):
+        rng = RngStream(2718, 3)
+        s = 0.37
+        u = rng.uniforms(n)
+        c = u - 0.5
+        m = (n + 1) // 2
+        pair = rng.uniforms(2 * m)
+        r = np.sqrt(-2.0 * np.log(pair[:m]))
+        a = 2.0 * math.pi * pair[m:]
+        z = np.concatenate([r * np.cos(a), r * np.sin(a)])[:n]
+        expected = {
+            MechanismSpec("logistic", s): s * np.log(u / (1.0 - u)),
+            MechanismSpec("laplace", s): -(s * np.sign(c) * np.log1p(-2.0 * np.abs(c))),
+            MechanismSpec("gaussian", s, 1e-5): s * z,
+        }
+        for spec, want in expected.items():
+            assert sample_noise(spec, rng, n).tobytes() == want.tobytes(), spec.kind
+
     def test_noise_of_a_spec_built_by_name_is_its_kind(self):
         draws = sample_noise(MechanismSpec("logistic", 0.5), RngStream(1), 40)
-        assert draws.tobytes() == sample_logistic(RngStream(1), LogisticParams(0.0, 0.5), 40).tobytes()
+        assert draws.tobytes() == sample_logistic(RngStream(1), 0.5, 40).tobytes()
 
 
 class TestBudgetConversion:

@@ -154,6 +154,15 @@ class TestAttackRecord:
         with pytest.raises(ValueError):
             AttackRecord(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 2)
 
+    @pytest.mark.parametrize("bad, message", [
+        (True, "membership must be an integer, got True"),
+        (1.0, "membership must be an integer, got 1.0"),
+    ])
+    def test_membership_is_an_integer_bit(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AttackRecord(np.array([0.5, 0.5]), np.array([1.0, 0.0]), bad)
+        assert AttackRecord(np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.int64(1)).membership == 1
+
     def test_nonfinite_output_rejected(self):
         with pytest.raises(ValueError):
             AttackRecord(np.array([np.nan, 1.0]), np.array([1.0, 0.0]), 1)
