@@ -100,13 +100,11 @@ def _cmd_attack(args) -> None:
     model = protect_existing(
         theta, omega, spec, derive_seed(cfg.master_seed, "cli-attack-noise")
     )
-    protected = attack_accuracy(
-        classifier, model, splits["finetune"], splits["holdout"], 1,
-        derive_seed(cfg.master_seed, "cli-attack-eval"),
-    )
-    unprotected = attack_accuracy(
-        classifier, model, splits["finetune"], splits["holdout"], 0,
-        derive_seed(cfg.master_seed, "cli-attack-eval-baseline"),
+    # the sweep's one evaluation set, so the unprotected score is its baseline
+    eval_seed = derive_seed(cfg.master_seed, "attack-eval")
+    protected, unprotected = (
+        attack_accuracy(classifier, model, splits["finetune"], splits["holdout"], use, eval_seed)
+        for use in (1, 0)
     )
     result = {
         "mechanism": spec.kind.value,

@@ -4,15 +4,17 @@ A sweep trains the two-stage model once, estimates (or accepts) sensitivity,
 then walks a mechanism x epsilon grid: each row protects the head at the
 budget-derived scale with a row-specific derived noise seed, measures
 relative utility loss on a held-out split, and scores a shadow-trained
-membership attack against the protected outputs. Reports serialize to CSV
-(plot-ready rows) and JSON (full provenance); identical configs produce
-byte-identical files.
+membership attack against the protected outputs. Every row and the
+unprotected baseline score one balanced evaluation set, drawn from one seed
+per run. Reports serialize to CSV (plot-ready rows) and JSON (full
+provenance); identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -110,6 +112,11 @@ class CsvDataSpec:
     num_classes: int | None = None
 
     def __post_init__(self):
+        for name in _SPLIT_NAMES:
+            path = getattr(self, name)
+            # open() would take a bool or an int for a file descriptor
+            if not isinstance(path, (str, os.PathLike)):
+                raise ValueError(f"{name} must be a path, got {path!r}")
         if self.num_classes is not None:
             check_int(self.num_classes, "num_classes", 1)
 
@@ -231,6 +238,7 @@ class SweepReport:
     unprotected_baseline: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", check_list(self.rows, "rows"))
         if self.rows:
             cfg = self.config
             column, grid = (("epsilon", cfg.epsilon_grid) if cfg.epsilon_grid is not None
@@ -361,18 +369,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 
     sens_record = resolve_sensitivity(cfg, theta, splits)
     classifier = train_auditor(cfg, theta, splits)
-
-    baseline_model = protect_existing(
-        theta, omega, MechanismSpec(MechanismKind.LOGISTIC, 1.0),
-        derive_seed(cfg.master_seed, "baseline-noise"),
-    )
-    baseline = {
-        "accuracy": clean_acc,
-        "mia_accuracy": attack_accuracy(
-            classifier, baseline_model, splits["finetune"], holdout, 0,
-            derive_seed(cfg.master_seed, "attack-eval-baseline"),
-        ),
-    }
+    eval_seed = derive_seed(cfg.master_seed, "attack-eval")
 
     rows = []
     for kind in cfg.mechanisms:
@@ -384,12 +381,11 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                 noisy_acc = accuracy(
                     predict_from_representations(model.omega_noisy, holdout_reps), holdout.labels
                 )
-                mia = attack_accuracy(
-                    classifier, model, splits["finetune"], holdout, 1,
-                    derive_seed(cfg.master_seed, "attack-eval", kind.value, eps_index, repeat),
-                )
+                mia = attack_accuracy(classifier, model, splits["finetune"], holdout, 1, eval_seed)
                 rows.append(SweepRow(kind, eps, spec.scale, utility_loss(noisy_acc, clean_acc), mia, repeat))
-    return SweepReport(tuple(rows), sens_record, cfg, baseline)
+    # every release carries the clean head; the last one's scores the unprotected baseline
+    baseline = attack_accuracy(classifier, model, splits["finetune"], holdout, 0, eval_seed)
+    return SweepReport(tuple(rows), sens_record, cfg, {"accuracy": clean_acc, "mia_accuracy": baseline})
 
 
 @dataclass(frozen=True)
@@ -512,12 +508,15 @@ def report_from_json_dict(obj: dict) -> SweepReport:
         raise ValueError("SweepReport is missing field 'averaged'")
     report = _from_json_dict(
         SweepReport, {k: v for k, v in obj.items() if k != "averaged"},
-        rows=lambda rows: tuple(_from_json_dict(SweepRow, r) for r in rows),
+        # anything but a list is left for SweepReport's own check to refuse
+        rows=lambda rows: (tuple(_from_json_dict(SweepRow, r) for r in rows)
+                           if isinstance(rows, list) else rows),
         sensitivity=estimate_from_json_dict,
         config=config_from_json_dict,
     )
+    averaged = check_list(obj["averaged"], "averaged")
     try:
-        stored = tuple(_from_json_dict(AveragedRow, r) for r in obj["averaged"])
+        stored = tuple(_from_json_dict(AveragedRow, r) for r in averaged)
     except ValueError as exc:
         raise ValueError(f"averaged: {exc}") from None
     for got, want in zip_longest(stored, report.averaged):

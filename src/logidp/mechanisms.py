@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .noise import sample_gaussian, sample_laplace, sample_logistic
-from .rng import RngStream, check_float
+from .rng import RngStream, check_float, check_int
 
 
 class NormKind(str, Enum):
@@ -167,10 +167,10 @@ def log_ratio_bound_check(spec: MechanismSpec, gamma: float, z_grid) -> float:
 
 def ratio_probe_grid(scale: float, gamma: float, points: int) -> np.ndarray:
     """Evenly spaced ratio probes covering both densities and the far tail."""
-    if points < 2:
+    if check_int(points, "points", low=None) < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     half = 50.0 * scale + abs(gamma)
-    return np.linspace(-half, half, int(points))
+    return np.linspace(-half, half, points)
 
 
 def multivariate_log_ratio_check(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, check_float
+from .rng import RngStream, check_float, check_int
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,11 @@ def _standardized(x, mu: float, scale: float) -> np.ndarray:
     return (t - mu) / scale
 
 
-def _match_shape(out: np.ndarray, x):
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def logistic_log_pdf(x, p: LogisticParams = LogisticParams()):
     """Log density of logistic(mu, s): -|t| - 2 log1p(exp(-|t|)) - log s,
     with t = (x-mu)/s."""
     t = np.abs(_standardized(x, p.mu, p.s))
-    return _match_shape(-t - 2.0 * np.log1p(np.exp(-t)) - math.log(p.s), x)
+    return -t - 2.0 * np.log1p(np.exp(-t)) - math.log(p.s)
 
 
 def logistic_cdf(x, p: LogisticParams = LogisticParams()):
@@ -55,7 +49,7 @@ def logistic_cdf(x, p: LogisticParams = LogisticParams()):
     overflows: 1 / (1 + e) for t >= 0 and e / (1 + e) below."""
     t = _standardized(x, p.mu, p.s)
     e = np.exp(-np.abs(t))
-    return _match_shape(np.where(t >= 0, 1.0, e) / (1.0 + e), x)
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def sample_logistic(rng: RngStream, scale: float, n: int) -> np.ndarray:
@@ -77,11 +71,11 @@ def sample_gaussian(rng: RngStream, scale: float, n: int) -> np.ndarray:
     """n iid draws with standard deviation scale via the Box-Muller
     transform of uniform pairs: the cosines of all pairs, then their sines."""
     check_float(scale, "scale", above=0)
-    m = (int(n) + 1) // 2
+    m = (check_int(n, "n") + 1) // 2
     u = rng.uniforms(2 * m)
     r = np.sqrt(-2.0 * np.log(u[:m]))
     a = (2.0 * math.pi) * u[m:]
-    z = np.concatenate([r * np.cos(a), r * np.sin(a)])[: int(n)]
+    z = np.concatenate([r * np.cos(a), r * np.sin(a)])[:n]
     return scale * z
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, check_float, check_int, check_list, check_seed
+from .rng import RngStream, check_float, check_int, check_int_array, check_list, check_seed
 from .weights import WeightVector, make_tag, parse_tag
 
 # Pseudo-label task size: the identity plus three seeded transformations.
@@ -80,10 +80,7 @@ class Dataset:
 
     def __post_init__(self):
         f = np.array(self.features, dtype=np.float64, copy=True)
-        y = np.asarray(self.labels)
-        if y.size and not np.issubdtype(y.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got dtype {y.dtype}")
-        y = np.array(y, dtype=np.int64, copy=True)
+        y = check_int_array(self.labels, "labels")
         if f.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {f.shape}")
         if y.shape != (f.shape[0],):
@@ -106,11 +103,11 @@ class Dataset:
         return int(self.features.shape[1])
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = check_int_array(indices, "indices")
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
     def without_index(self, i: int) -> "Dataset":
-        if not 0 <= i < len(self):
+        if not 0 <= check_int(i, "record index", low=None) < len(self):
             raise IndexError(f"record index {i} out of range")
         keep = np.concatenate([np.arange(i), np.arange(i + 1, len(self))])
         return self.subset(keep)
@@ -400,7 +397,7 @@ def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, leave
     if leave_out is None:
         init = _fit_start(theta, dataset, len(dataset), cfg)
         return _fit_heads(encode(theta, dataset.features)[None], dataset.labels[None], init, cfg)[0]
-    indices = [int(i) for i in leave_out]
+    indices = [check_int(i, "leave_out", low=None) for i in leave_out]
     for i in indices:
         if not 0 <= i < len(dataset):
             raise IndexError(f"record index {i} out of range")

@@ -58,6 +58,15 @@ def check_list(value, name: str) -> tuple:
     return tuple(value)
 
 
+def check_int_array(value, name: str) -> np.ndarray:
+    """value as an int64 array, if its dtype is an integer dtype (never
+    bool) or it is empty; otherwise ValueError naming the field."""
+    array = np.asarray(value)
+    if array.size and not np.issubdtype(array.dtype, np.integer):
+        raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64)
+
+
 def check_seed(value, name: str = "seed") -> int:
     """value as an int, if it is an integer in [0, 2**64)."""
     if not 0 <= check_int(value, name, low=None) < _U64:

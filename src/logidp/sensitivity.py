@@ -19,7 +19,7 @@ import numpy as np
 
 from .mechanisms import MechanismKind, NormKind, Sensitivity
 from .pipeline import Dataset, TrainConfig, finetune_head
-from .rng import RngStream, check_float, check_int, check_seed
+from .rng import RngStream, check_float, check_int, check_int_array, check_list, check_seed
 from .weights import WeightVector
 
 # An exhaustive pass costs n fits, one per record, but keeps n^2 pair rows.
@@ -38,8 +38,12 @@ class SensitivityEstimate:
 
     def __post_init__(self):
         norm = partial(check_float, name="per_pair_norms", at_least=0)
-        norms = tuple((norm(l1), norm(l2)) for l1, l2 in self.per_pair_norms)
-        object.__setattr__(self, "per_pair_norms", norms)
+        norms = []
+        for pair in check_list(self.per_pair_norms, "per_pair_norms"):
+            if len(check_list(pair, "per_pair_norms")) != 2:
+                raise ValueError(f"per_pair_norms must hold (l1, l2) pairs, got {pair!r}")
+            norms.append((norm(pair[0]), norm(pair[1])))
+        object.__setattr__(self, "per_pair_norms", tuple(norms))
         check_int(self.m, "m", 1)
         check_seed(self.seed)
         check_float(self.delta_l1, "delta_l1")
@@ -89,7 +93,7 @@ def sample_sensitivity(
     if pairs is None:
         pairs = sensitivity_index_pairs(len(d), m, seed)
     else:
-        pairs = np.asarray(pairs, dtype=np.int64)
+        pairs = check_int_array(pairs, "pairs")
         if pairs.shape != (m, 2):
             raise ValueError(f"pairs must have shape ({m}, 2), got {pairs.shape}")
         if pairs.size and (pairs.min() < 0 or pairs.max() >= len(d)):

@@ -1,5 +1,6 @@
 """End-to-end coverage of the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -435,6 +436,38 @@ class TestSweep:
         assert calls == []
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("value", [True, 0])
+    def test_csv_path_that_is_not_a_path_rejected_before_training(self, tmp_path, value):
+        # open() would read fd 1 for True and fd 0 for 0, and close it; a
+        # subprocess keeps this test's own descriptors out of reach
+        paths = {name: str(tmp_path / f"{name}.csv") for name in DATA.split_counts()}
+        doc = config_to_json_dict(small_config(dataset=CsvDataSpec(**paths, num_classes=5)))
+        doc["dataset"]["pretrain"] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        code = (
+            "import os, sys\n"
+            "import logidp.experiments\n"
+            "from logidp.cli import main\n"
+            "calls = []\n"
+            "logidp.experiments.pretrain_encoder = lambda *a: calls.append(a)\n"
+            "code = main(sys.argv[1:])\n"
+            "for fd in (0, 1):\n"
+            "    os.fstat(fd)\n"
+            "print(f'pretrain calls: {len(calls)}', file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "sweep", "--config", str(path), "--out", str(out)],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert f"error: dataset: pretrain must be a path, got {value!r}\n" in proc.stderr
+        # both descriptors still open, and nothing trained
+        assert proc.stderr.endswith("pretrain calls: 0\n")
+        assert not out.exists()
+
     def test_malformed_csv_row_named_before_training(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr("logidp.experiments.pretrain_encoder", lambda *a: calls.append(a))
@@ -542,6 +575,28 @@ class TestSharedStages:
         assert sidecar["scale"] == attack["scale"] == row["scale"]
         baseline = report["unprotected_baseline"]["mia_accuracy"]
         assert attack["unprotected_mia_accuracy"] == baseline
+
+    def test_one_evaluation_set_on_unequal_splits(self, tmp_path):
+        # 40 holdout records against 50 finetune members: each score draws
+        # 40 of the members, so the scores agree only if they draw the same 40
+        cfg = small_config(
+            dataset=dataclasses.replace(DATA, holdout=40), mechanisms=(MechanismKind.LOGISTIC,),
+            sensitivity=Sensitivity(NormKind.L1, 0.5), epsilon_grid=None, scale_grid=(1e-9, 0.5),
+            repeats_per_point=3,
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_json_dict(cfg)))
+        assert main(["sweep", "--config", str(path), "--format", "json",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["attack", "--config", str(path), "--mechanism", "logistic", "--scale", "1e-9",
+                     "--out", str(tmp_path / "attack.json")]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        attack = json.loads((tmp_path / "attack.json").read_text())
+        baseline = report["unprotected_baseline"]["mia_accuracy"]
+        assert attack["unprotected_mia_accuracy"] == baseline
+        # noise at scale 1e-9 moves no attack decision
+        near_zero = [row["mia_accuracy"] for row in report["rows"] if row["scale"] == 1e-9]
+        assert near_zero == [baseline] * 3
 
 
 class TestEntryPoint:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,14 @@ class TestSyntheticDataSpec:
 def test_csv_spec_rejects_zero_classes():
     with pytest.raises(ValueError, match="^num_classes must be >= 1, got 0$"):
         CsvDataSpec("a.csv", "b.csv", "c.csv", "d.csv", "e.csv", num_classes=0)
+
+
+@pytest.mark.parametrize("bad", [True, 0, 1, 1.5, None])
+def test_csv_spec_paths_must_be_paths(bad):
+    # open() reads a bool or an int as a file descriptor
+    with pytest.raises(ValueError, match=f"^finetune must be a path, got {re.escape(repr(bad))}$"):
+        CsvDataSpec("a.csv", bad, "c.csv", "d.csv", "e.csv")
+    assert CsvDataSpec("a.csv", Path("b.csv"), "c.csv", "d.csv", "e.csv").finetune == Path("b.csv")
 
 
 class TestRunSweep:
@@ -588,6 +597,26 @@ class TestConfigSerialization:
         obj = json.loads(json.dumps(report_to_json_dict(small_report)))
         obj["rows"][0]["repeat"] = 0
         with pytest.raises(ValueError, match="rows: SweepRow has no field 'repeat'"):
+            report_from_json_dict(obj)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj["sensitivity"].update(per_pair_norms=5),
+         "sensitivity: per_pair_norms must be a list, got 5"),
+        (lambda obj: obj["sensitivity"].update(per_pair_norms="ab"),
+         "sensitivity: per_pair_norms must be a list, got 'ab'"),
+        (lambda obj: obj["sensitivity"]["per_pair_norms"].__setitem__(0, 5),
+         "sensitivity: per_pair_norms must be a list, got 5"),
+        (lambda obj: obj["sensitivity"].update(per_pair_norms=[[0.1, 0.2, 0.3]]),
+         "sensitivity: per_pair_norms must hold (l1, l2) pairs, got [0.1, 0.2, 0.3]"),
+        (lambda obj: obj.update(rows=5), "rows must be a list, got 5"),
+        (lambda obj: obj.update(rows="ab"), "rows must be a list, got 'ab'"),
+        (lambda obj: obj.update(averaged=5), "averaged must be a list, got 5"),
+    ], ids=["norms-scalar", "norms-string", "pair-scalar", "pair-of-three", "rows-scalar", "rows-string",
+            "averaged-scalar"])
+    def test_report_loader_names_a_list_field_that_is_not_a_list(self, small_report, edit, message):
+        obj = json.loads(json.dumps(report_to_json_dict(small_report)))
+        edit(obj)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             report_from_json_dict(obj)
 
 

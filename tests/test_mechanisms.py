@@ -209,6 +209,12 @@ class TestDensityRatioCertificate:
                 got = log_ratio_bound_check(MechanismSpec(kind, s), gamma, grid)
                 assert got <= width / s + 1e-12
 
+    def test_probe_grid_points_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="^points must be an integer, got 2.7$"):
+            ratio_probe_grid(1.0, 0.5, 2.7)
+        with pytest.raises(ValueError, match="^need at least 2 grid points, got 1$"):
+            ratio_probe_grid(1.0, 0.5, 1)
+
     def test_empty_grid_errors(self):
         with pytest.raises(ValueError):
             log_ratio_bound_check(MechanismSpec(MechanismKind.LOGISTIC, 1.0), 0.5, [])

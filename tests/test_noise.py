@@ -126,6 +126,11 @@ class TestLogisticDensity:
         with pytest.raises(ValueError, match="x must be finite"):
             logistic_cdf(np.array([0.0, np.nan]))
 
+    def test_scalar_in_float_out(self):
+        for fn in (logistic_cdf, logistic_log_pdf):
+            assert isinstance(fn(0.5), float)
+            assert fn(np.array([0.5, 1.0])).shape == (2,)
+
     def test_pdf_extreme_arguments_stay_finite(self):
         p = LogisticParams(0.0, 0.005)
         assert np.isfinite(logistic_log_pdf(1e9, p))
@@ -195,6 +200,12 @@ class TestSamplers:
         rng = RngStream(1, 4)
         assert fn(rng, 1.0, 0).shape == (0,)
         assert np.array_equal(fn(rng, 1.0, 2), fn(rng, 1.0, 2))
+
+    @pytest.mark.parametrize("fn", [sample_logistic, sample_laplace, sample_gaussian])
+    @pytest.mark.parametrize("n, rule", [(2.5, "an integer, got 2.5"), (-1, ">= 0, got -1")])
+    def test_count_must_be_a_nonnegative_integer(self, fn, n, rule):
+        with pytest.raises(ValueError, match=f"^n must be {re.escape(rule)}$"):
+            fn(RngStream(1), 1.0, n)
 
     def test_logistic_variance(self):
         x = sample_logistic(RngStream(1), 1.0, 200_000)

@@ -170,6 +170,18 @@ class TestDataset:
     def test_subset_keeps_requested_order(self):
         d = Dataset(np.arange(6.0).reshape(3, 2), [0, 1, 2], 3)
         assert d.subset([2, 0]).labels.tolist() == [2, 0]
+        assert len(d.subset([])) == 0
+
+    @pytest.mark.parametrize("indices, dtype", [([0.5, 1.7], "float64"), ([True, False], "bool")])
+    def test_subset_refuses_indices_that_are_not_integers(self, indices, dtype):
+        d = Dataset(np.arange(6.0).reshape(3, 2), [0, 1, 2], 3)
+        with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
+            d.subset(indices)
+
+    def test_without_index_refuses_a_float(self):
+        d = Dataset(np.arange(10.0).reshape(5, 2), [0, 1, 2, 3, 4], 5)
+        with pytest.raises(ValueError, match="^record index must be an integer, got 1.5$"):
+            d.without_index(1.5)
 
 
 class TestSyntheticData:
@@ -436,6 +448,8 @@ class TestLeaveOneOutHeads:
             finetune_head(theta, ten_class.subset([0]), cfg, leave_out=[0])
         with pytest.raises(ValueError, match="epochs"):
             finetune_head(theta, ten_class, TrainConfig(epochs=0), leave_out=[0])
+        with pytest.raises(ValueError, match="^leave_out must be an integer, got 1.5$"):
+            finetune_head(theta, ten_class, cfg, leave_out=[1.5])
 
 
 class TestLeaveOneOutWorkers:

@@ -242,6 +242,12 @@ class TestErrors:
             sample_sensitivity(DUMMY_THETA, d, TrainConfig(), 2, 0, trainer=mean_trainer,
                                pairs=np.array([[0, 1]]))
 
+    def test_injected_pairs_must_be_integers(self):
+        d = exact_mean_dataset(3, 2, 0)
+        with pytest.raises(ValueError, match="^pairs must be integers, got dtype float64$"):
+            sample_sensitivity(DUMMY_THETA, d, TrainConfig(), 2, 0, trainer=mean_trainer,
+                               pairs=[[0.5, 1.7], [1.0, 2.0]])
+
 
 class TestSerialization:
     def test_json_round_trip_exact(self, tmp_path):
