@@ -117,6 +117,8 @@ class CsvDataSpec:
             # open() would take a bool or an int for a file descriptor
             if not isinstance(path, (str, os.PathLike)):
                 raise ValueError(f"{name} must be a path, got {path!r}")
+            # kept as a string, so the config writes to JSON
+            object.__setattr__(self, name, os.fspath(path))
         if self.num_classes is not None:
             check_int(self.num_classes, "num_classes", 1)
 

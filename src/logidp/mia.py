@@ -10,7 +10,11 @@ release path (noise, calibration, sensitivity, encoder, heads) stays float64.
 Each layer is one (in + 1, out) matrix whose last row is the bias, from
 initialization to scoring. Training and scoring run on fixed blocks of at
 most 125 records, and training adds the blocks' gradients in block order,
-so the trained layers have the same bits on any BLAS thread count.
+so the trained layers have the same bits on any BLAS thread count. A
+training epoch allocates nothing but the float64 logistic CDF's
+temporaries: the one forward pass also writes each hidden layer's ReLU
+mask into a reused buffer, and each input gradient is a product against a
+reused contiguous copy of its layer's transposed weights.
 
 The classifier sees shadow outputs only, by construction: train_auditor in
 experiments builds its records from the shadow splits alone, and the victim
@@ -154,21 +158,27 @@ def _blocks(x: np.ndarray) -> np.ndarray:
 
 
 def _activations(layers, x: np.ndarray) -> list[np.ndarray]:
-    """One (blocks, rows, width + 1) buffer per hidden layer, its ones column set."""
-    return [np.ones((*x.shape[:2], w.shape[1] + 1), dtype=np.float32) for w in layers[:-1]]
+    """One (blocks, rows, width + 1) buffer per hidden layer, its ones column
+    set, then one (blocks, rows, 1) buffer for the output logits."""
+    return ([np.ones((*x.shape[:2], w.shape[1] + 1), dtype=np.float32) for w in layers[:-1]]
+            + [np.empty((*x.shape[:2], 1), dtype=np.float32)])
 
 
-def _forward(layers, x: np.ndarray, acts) -> np.ndarray:
+def _forward(layers, x: np.ndarray, acts, masks=None) -> np.ndarray:
     """Output logits of the MLP on the record blocks x, flattened in record
     order with the padding rows last. Each layer is one (in + 1, out) matrix
     whose last row is the bias; each hidden layer's ReLU activation is
-    written before the ones column of its buffer in acts."""
+    written before the ones column of its buffer in acts, and, when masks
+    is given, its a > 0 into the same-shaped bool buffer in masks. The
+    logits are a view of the last buffer in acts."""
     h = x
-    for w, a in zip(layers[:-1], acts):
+    for i, (w, a) in enumerate(zip(layers[:-1], acts)):
         np.matmul(h, w, out=a[..., :-1])
         np.maximum(a, 0.0, out=a)
+        if masks is not None:
+            np.greater(a, 0.0, out=masks[i])
         h = a
-    return (h @ layers[-1]).reshape(-1)
+    return np.matmul(h, layers[-1], out=acts[-1]).reshape(-1)
 
 
 def _balanced_inputs(theta: WeightVector, omega: WeightVector, members: Dataset, nonmembers: Dataset,
@@ -224,9 +234,11 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
     Input is the concatenated (output vector, one-hot label); hidden stack is
     cfg.hidden_layers ReLU layers of cfg.hidden_width; output is one sigmoid
     unit. The records run as ceil(n / 125) equal blocks, the last padded with
-    rows whose gradient is 0. Deterministic given cfg.seed, on any BLAS
-    thread count. Raises ValueError at the first non-finite logit of a
-    diverging run.
+    rows whose gradient is 0. Every array an epoch works in is allocated
+    once, before the first: the forward pass takes the ReLU masks, and the
+    input gradients are products against a contiguous copy of each layer's
+    w[:-1].T. Deterministic given cfg.seed, on any BLAS thread count.
+    Raises ValueError at the first non-finite logit of a diverging run.
     """
     records = list(records)
     if not records:
@@ -246,29 +258,47 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
     lr = np.float32(cfg.learning_rate)
     inv_n = np.float32(1.0 / n)
     acts = _activations(layers, x)
-    inputs = [x] + acts
-    # one buffer holds each layer's per-block gradients in turn
-    grad_buf = np.empty(len(x) * max(w.size for w in layers), dtype=np.float32)
+    inputs = [x] + acts[:-1]
+    masks = [np.empty(a.shape, dtype=bool) for a in acts[:-1]]
+    # reused buffers: each layer's per-block gradients, its summed step and
+    # its contiguous w[:-1].T copy in turn, and two input gradients that
+    # alternate down the stack
+    largest = max(w.size for w in layers)
+    grad_buf = np.empty(len(x) * largest, dtype=np.float32)
+    step_buf = np.empty(largest, dtype=np.float32)
+    wt_buf = np.empty(largest, dtype=np.float32)
+    g_bufs = [np.empty(acts[0][..., :-1].shape, dtype=np.float32) for _ in range(2)]
     # the padding rows' output gradient stays 0, so they add exact zeros
     g_out = np.zeros((*x.shape[:2], 1), dtype=np.float32)
+    g_logits = g_out.reshape(-1)[:n]
     for _ in range(cfg.epochs):
-        logits = _forward(layers, x, acts)[:n]
+        logits = _forward(layers, x, acts, masks)[:n]
         # d(BCE)/d(logit) for sigmoid output; logistic_cdf evaluates in
-        # float64 and raises on a non-finite logit
-        g_out.reshape(-1)[:n] = (logistic_cdf(logits).astype(np.float32) - y) * inv_n
+        # float64, raises on a non-finite logit and is rounded to float32
+        np.copyto(g_logits, logistic_cdf(logits), casting="same_kind")
+        g_logits -= y
+        g_logits *= inv_n
         g = g_out
         # output layer down: each layer hands on its input gradient, masked
-        # where its stored ReLU input h is 0, before its in-place update
+        # where its input's ReLU was 0, before its in-place update
         for i in range(len(layers) - 1, -1, -1):
             w, h = layers[i], inputs[i]
             gw = grad_buf[:len(x) * w.size].reshape(len(x), *w.shape)
             if i:  # layer 0's input gradient has no use
-                # the 1-wide output layer's is a broadcast product, not a matmul
-                g_below = g * w[:-1].T if g.shape[-1] == 1 else g @ w[:-1].T
-                g_below *= h[..., :-1] > 0
+                wt = wt_buf[:w[:-1].size].reshape(w.shape[1], -1)
+                np.copyto(wt, w[:-1].T)
+                g_below = g_bufs[i % 2]
+                if g.shape[-1] == 1:  # the 1-wide output layer's is a broadcast product
+                    np.multiply(g, wt, out=g_below)
+                else:
+                    np.matmul(g, wt, out=g_below)
+                g_below *= masks[i - 1][..., :-1]
             # one weight-and-bias gradient per block, added in block order
             np.matmul(h.swapaxes(1, 2), g, out=gw)
-            w -= lr * gw.sum(axis=0)
+            step = step_buf[:w.size].reshape(w.shape)
+            gw.sum(axis=0, out=step)
+            step *= lr
+            w -= step
             g = g_below
     return AttackClassifier(tuple(layers), num_classes)
 

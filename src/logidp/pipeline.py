@@ -104,6 +104,9 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = check_int_array(indices, "indices")
+        outside = idx[(idx < 0) | (idx >= len(self))]
+        if outside.size:
+            raise IndexError(f"record index {outside[0]} out of range")
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
     def without_index(self, i: int) -> "Dataset":

@@ -191,7 +191,14 @@ def test_csv_spec_paths_must_be_paths(bad):
     # open() reads a bool or an int as a file descriptor
     with pytest.raises(ValueError, match=f"^finetune must be a path, got {re.escape(repr(bad))}$"):
         CsvDataSpec("a.csv", bad, "c.csv", "d.csv", "e.csv")
-    assert CsvDataSpec("a.csv", Path("b.csv"), "c.csv", "d.csv", "e.csv").finetune == Path("b.csv")
+    assert CsvDataSpec("a.csv", Path("b.csv"), "c.csv", "d.csv", "e.csv").finetune == "b.csv"
+
+
+def test_csv_spec_built_from_paths_round_trips_through_json():
+    cfg = small_config(dataset=CsvDataSpec(Path("a.csv"), "b", "c", "d", "e", 5))
+    doc = json.loads(json.dumps(config_to_json_dict(cfg)))
+    assert doc["dataset"]["pretrain"] == "a.csv"
+    assert config_from_json_dict(doc) == cfg
 
 
 class TestRunSweep:

@@ -9,6 +9,8 @@ from logidp.mia import (
     AttackClassifierConfig,
     AttackRecord,
     attack_accuracy,
+    _activations,
+    _blocks,
     _forward,
     _init_layers,
     _stack_inputs,
@@ -241,20 +243,26 @@ class TestBuildAttackDataset:
 
 @pytest.fixture(scope="module")
 def thread_digests():
-    """threads -> SHA-256 of the layers from train_attack_classifier and from
-    reference_train, each trained in a fresh process at the benchmark's
-    attack shape: 1000 records through 5 x 64 hidden units. Whole, those
-    records' products are large enough for OpenBLAS to split over threads;
-    as 8 blocks of 125, each block's products run on the calling thread."""
-    return stdout_by_thread_count(textwrap.dedent("""
+    """threads -> record count -> SHA-256 of the layers from
+    train_attack_classifier and from reference_train, each trained in a
+    fresh process at the benchmark's attack shape: 1000 or 1002 records
+    through 5 x 64 hidden units. Whole, those records' products are large
+    enough for OpenBLAS to split over threads; as 8 blocks of 125, or 9
+    blocks of 112 with 6 padding rows, each block's products run on the
+    calling thread."""
+    digests = stdout_by_thread_count(textwrap.dedent("""
         import hashlib
         from test_mia import layer_bytes, random_records, reference_train
         from logidp.mia import AttackClassifierConfig, train_attack_classifier
-        records = random_records(1000, num_classes=10)
         cfg = AttackClassifierConfig(epochs=20, seed=4)
-        for layers in (train_attack_classifier(records, cfg).layers, reference_train(records, cfg)):
-            print(hashlib.sha256(layer_bytes(layers)).hexdigest())
+        for count in (1000, 1002):
+            records = random_records(count, num_classes=10)
+            print(count, *(hashlib.sha256(layer_bytes(layers)).hexdigest()
+                            for layers in (train_attack_classifier(records, cfg).layers,
+                                           reference_train(records, cfg))))
     """))
+    return {threads: {int(out[k]): out[k + 1:k + 3] for k in range(0, len(out), 3)}
+            for threads, out in digests.items()}
 
 
 class TestTrainAttackClassifier:
@@ -305,25 +313,42 @@ class TestTrainAttackClassifier:
         assert layer_bytes(clf.layers) == layer_bytes(reference_train(records, cfg))
 
     def test_matches_reference_trainer_under_each_blas_thread_count(self, thread_digests):
-        for threads, (trained, reference) in thread_digests.items():
-            assert len(trained) == 64 and trained == reference, threads
+        for threads, by_count in thread_digests.items():
+            assert sorted(by_count) == [1000, 1002], threads
+            for count, (trained, reference) in by_count.items():
+                assert len(trained) == 64 and trained == reference, (threads, count)
 
     def test_layers_identical_across_blas_thread_counts(self, thread_digests):
-        assert thread_digests["1"][0] == thread_digests["2"][0]
+        assert thread_digests["1"] == thread_digests["2"]
 
     def test_trains_and_scores_in_float32(self, separable_records, monkeypatch):
         passes = []
 
-        def recording_forward(layers, x, acts):
-            passes.append({x.dtype, *(a.dtype for a in acts), *(w.dtype for w in layers)})
-            return _forward(layers, x, acts)
+        def recording_forward(layers, x, acts, masks=None):
+            passes.append(({x.dtype, *(a.dtype for a in acts), *(w.dtype for w in layers)}, masks is not None))
+            return _forward(layers, x, acts, masks)
 
         monkeypatch.setattr("logidp.mia._forward", recording_forward)
         clf = train_attack_classifier(separable_records, AttackClassifierConfig(epochs=3, seed=2))
         records_accuracy(clf, separable_records)
-        assert len(passes) == 4  # three training epochs, one scoring pass
-        assert all(dtypes == {np.dtype(np.float32)} for dtypes in passes)
+        # three training epochs take the ReLU masks, one scoring pass does not
+        assert [masked for _, masked in passes] == [True, True, True, False]
+        assert all(dtypes == {np.dtype(np.float32)} for dtypes, _ in passes)
         assert all(w.dtype == np.float32 for w in constant_classifier(4, 0.0).layers)
+
+    def test_forward_pass_takes_each_hidden_layers_relu_mask(self):
+        layers = _init_layers(AttackClassifierConfig(epochs=0, seed=3), 4)
+        x = _blocks(_stack_inputs(random_records(240))[0])
+        acts = _activations(layers, x)
+        masks = [np.zeros(a.shape, dtype=bool) for a in acts[:-1]]  # the last buffer holds the logits
+        logits = _forward(layers, x, acts, masks)
+        for a, m in zip(acts, masks):
+            assert np.array_equal(m, a > 0)
+            assert m[..., -1].all() and 0 < m[..., :-1].mean() < 1  # ones column, then a real mask
+        # without masks, the scoring pass, it writes the same logits and activations
+        unmasked_acts = _activations(layers, x)
+        assert np.array_equal(_forward(layers, x, unmasked_acts), logits)
+        assert all(np.array_equal(a, b) for a, b in zip(unmasked_acts, acts))
 
     def test_diverging_run_raises_instead_of_returning_nan_layers(self):
         cfg = AttackClassifierConfig(epochs=50, seed=9, learning_rate=1e200)

@@ -178,6 +178,13 @@ class TestDataset:
         with pytest.raises(ValueError, match=f"^indices must be integers, got dtype {dtype}$"):
             d.subset(indices)
 
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_subset_refuses_indices_out_of_range(self, index):
+        d = Dataset(np.arange(6.0).reshape(3, 2), [0, 1, 2], 3)
+        with pytest.raises(IndexError, match=f"^record index {index} out of range$"):
+            d.subset([0, index])
+        assert d.subset(range(3)).labels.tolist() == [0, 1, 2]
+
     def test_without_index_refuses_a_float(self):
         d = Dataset(np.arange(10.0).reshape(5, 2), [0, 1, 2, 3, 4], 5)
         with pytest.raises(ValueError, match="^record index must be an integer, got 1.5$"):
