@@ -32,7 +32,6 @@ from .experiments import (
     train_model,
 )
 from .mechanisms import MechanismKind, MechanismSpec, sample_noise
-from .mia import attack_accuracy
 from .protection import export_protected_model, protect_existing
 from .rng import RngStream, check_float, derive_seed
 from .weights import write_json
@@ -96,22 +95,16 @@ def _cmd_attack(args) -> None:
     if args.scale is None:
         sens = resolve_sensitivity(cfg, theta, splits).for_mechanism(kind)
     spec = mechanism_spec(cfg, kind, sens, epsilon=args.epsilon, scale=args.scale)
-    classifier = train_auditor(cfg, theta, splits)
+    audit = train_auditor(cfg, theta, splits)
     model = protect_existing(
         theta, omega, spec, derive_seed(cfg.master_seed, "cli-attack-noise")
-    )
-    # the sweep's one evaluation set, so the unprotected score is its baseline
-    eval_seed = derive_seed(cfg.master_seed, "attack-eval")
-    protected, unprotected = (
-        attack_accuracy(classifier, model, splits["finetune"], splits["holdout"], use, eval_seed)
-        for use in (1, 0)
     )
     result = {
         "mechanism": spec.kind.value,
         "scale": spec.scale,
         "delta": spec.delta,
-        "protected_mia_accuracy": protected,
-        "unprotected_mia_accuracy": unprotected,
+        "protected_mia_accuracy": audit(model, 1),
+        "unprotected_mia_accuracy": audit(model, 0),
     }
     if args.epsilon is not None:
         result["epsilon"] = args.epsilon

@@ -6,8 +6,9 @@ budget-derived scale with a row-specific derived noise seed, measures
 relative utility loss on a held-out split, and scores a shadow-trained
 membership attack against the protected outputs. Every row and the
 unprotected baseline score one balanced evaluation set, drawn from one seed
-per run. Reports serialize to CSV (plot-ready rows) and JSON (full
-provenance); identical configs produce byte-identical files.
+per run, through the audit that train_auditor returns. Reports serialize to
+CSV (plot-ready rows) and JSON (full provenance); identical configs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import json
 import os
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
@@ -31,7 +33,6 @@ from .mechanisms import (
     scale_for_budget,
 )
 from .mia import (
-    AttackClassifier,
     AttackClassifierConfig,
     attack_accuracy,
     build_attack_dataset,
@@ -49,7 +50,7 @@ from .pipeline import (
     predict_from_representations,
     pretrain_encoder,
 )
-from .protection import protect_existing
+from .protection import ProtectedModel, protect_existing
 from .rng import check_float, check_int, check_list, check_seed, derive_seed
 from .sensitivity import SensitivityEstimate, sample_sensitivity
 from .weights import WeightVector, write_json
@@ -310,9 +311,12 @@ def resolve_sensitivity(cfg: SweepConfig, theta: WeightVector, splits) -> Sensit
     return sample_sensitivity(theta, splits["finetune"], cfg.finetune, source.m, source.seed)
 
 
-def train_auditor(cfg: SweepConfig, theta: WeightVector, splits) -> AttackClassifier:
-    """Shadow head on shadow_in, then the membership classifier on its outputs
-    for shadow_in and shadow_out; no victim record enters."""
+def train_auditor(cfg: SweepConfig, theta: WeightVector, splits) -> Callable[[ProtectedModel, int], float]:
+    """The run's audit, audit(model, use_protected_outputs): the membership
+    classifier's accuracy on the run's one evaluation set, the finetune
+    members against the holdout non-members, drawn from one seed. The
+    classifier trains on a shadow head's outputs for shadow_in and
+    shadow_out; no victim record enters."""
     shadow_cfg = dataclasses.replace(
         cfg.finetune, seed=derive_seed(cfg.master_seed, "shadow-head")
     )
@@ -325,7 +329,13 @@ def train_auditor(cfg: SweepConfig, theta: WeightVector, splits) -> AttackClassi
         cfg.attack.train_pairs,
         derive_seed(cfg.master_seed, "attack-data"),
     )
-    return train_attack_classifier(records, cfg.attack)
+    classifier = train_attack_classifier(records, cfg.attack)
+    eval_seed = derive_seed(cfg.master_seed, "attack-eval")
+
+    def audit(model: ProtectedModel, use_protected_outputs: int) -> float:
+        return attack_accuracy(classifier, model, splits["finetune"], splits["holdout"],
+                               use_protected_outputs, eval_seed)
+    return audit
 
 
 def check_calibration(cfg: SweepConfig, kinds) -> None:
@@ -370,8 +380,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     clean_acc = accuracy(predict_from_representations(omega, holdout_reps), holdout.labels)
 
     sens_record = resolve_sensitivity(cfg, theta, splits)
-    classifier = train_auditor(cfg, theta, splits)
-    eval_seed = derive_seed(cfg.master_seed, "attack-eval")
+    audit = train_auditor(cfg, theta, splits)
 
     rows = []
     for kind in cfg.mechanisms:
@@ -383,11 +392,10 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                 noisy_acc = accuracy(
                     predict_from_representations(model.omega_noisy, holdout_reps), holdout.labels
                 )
-                mia = attack_accuracy(classifier, model, splits["finetune"], holdout, 1, eval_seed)
-                rows.append(SweepRow(kind, eps, spec.scale, utility_loss(noisy_acc, clean_acc), mia, repeat))
+                rows.append(SweepRow(kind, eps, spec.scale, utility_loss(noisy_acc, clean_acc),
+                                     audit(model, 1), repeat))
     # every release carries the clean head; the last one's scores the unprotected baseline
-    baseline = attack_accuracy(classifier, model, splits["finetune"], holdout, 0, eval_seed)
-    return SweepReport(tuple(rows), sens_record, cfg, {"accuracy": clean_acc, "mia_accuracy": baseline})
+    return SweepReport(tuple(rows), sens_record, cfg, {"accuracy": clean_acc, "mia_accuracy": audit(model, 0)})
 
 
 @dataclass(frozen=True)

@@ -95,10 +95,16 @@ def export_protected_model(model: ProtectedModel, base_path, sensitivity: Sensit
 
 
 def load_protected_release(base_path) -> tuple[WeightVector, WeightVector, dict]:
-    """Read back an exported release: (theta, omega_noisy, sidecar dict)."""
+    """Read back an exported release: (theta, omega_noisy, sidecar dict).
+    Raises ValueError naming the release unless its weights are an encoder
+    and a head on its outputs, each as long as its tag says."""
     base = str(base_path)
     theta = load_weights(base + ".theta.bin")
     omega_noisy = load_weights(base + ".omega.bin")
+    try:
+        check_model(theta, omega_noisy)
+    except ValueError as exc:
+        raise ValueError(f"{base}: {exc}") from None
     with open(base + ".json") as fh:
         sidecar = json.load(fh)
     return theta, omega_noisy, sidecar

@@ -49,7 +49,10 @@ def parse_tag(tag: str) -> tuple[str, dict[str, int]]:
     if rest:
         for piece in rest.split(","):
             k, _, v = piece.partition("=")
-            dims[k] = int(v)
+            try:
+                dims[k] = int(v)
+            except ValueError:
+                raise ValueError(f"shape tag {tag!r}: {piece!r} is not name=integer") from None
     return kind, dims
 
 
@@ -69,8 +72,10 @@ def load_weights(path) -> WeightVector:
         marker, _, tag = header.partition(" ")
         if marker != _MAGIC:
             raise ValueError(f"not a weight-vector file: {path}")
-        values = np.frombuffer(fh.read(), dtype="<f8")
-    return WeightVector(values, tag)
+        payload = fh.read()
+    if len(payload) % 8:
+        raise ValueError(f"{path}: {len(payload)} payload bytes are not whole float64 values")
+    return WeightVector(np.frombuffer(payload, dtype="<f8"), tag)
 
 
 def write_json(obj, path) -> None:

@@ -71,6 +71,9 @@ def small_config(**overrides):
 u64 = st.integers(0, 2**64 - 1)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+# positive floats whose float32 is finite and above 0
+positive_float32 = st.floats(min_value=float(np.finfo(np.float32).smallest_subnormal),
+                             max_value=float(np.finfo(np.float32).max))
 
 
 @st.composite
@@ -106,7 +109,7 @@ def sweep_configs(draw):
         attack=draw(st.builds(
             AttackClassifierConfig, epochs=st.integers(0, 10**5), seed=u64,
             hidden_layers=st.integers(1, 8), hidden_width=st.integers(1, 128),
-            learning_rate=positive, train_pairs=st.integers(1, 5000).map(lambda k: 2 * k),
+            learning_rate=positive_float32, train_pairs=st.integers(1, 5000).map(lambda k: 2 * k),
         )),
         master_seed=draw(u64),
         epsilon_grid=epsilon_grid,
@@ -734,6 +737,15 @@ class TestFloatFields:
         obj = json.loads(json.dumps(config_to_json_dict(small_config(sensitivity=Sensitivity(NormKind.L1, 0.5)))))
         (obj[block] if block else obj)[key] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_json_dict(obj)
+
+    @pytest.mark.parametrize("value, rule", [
+        (1e-50, "above 0 in float32, got 1e-50"), (1e39, "<= 3.4028234663852886e+38, got 1e+39"),
+    ])
+    def test_attack_learning_rate_beyond_float32_rejected_from_json(self, value, rule):
+        obj = json.loads(json.dumps(config_to_json_dict(small_config())))
+        obj["attack"]["learning_rate"] = value
+        with pytest.raises(ValueError, match=f"^attack: learning_rate must be {re.escape(rule)}$"):
             config_from_json_dict(obj)
 
     @pytest.mark.parametrize("block, key, value, message", [

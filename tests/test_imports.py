@@ -1,6 +1,7 @@
 """Each logidp module uses only the public names of the others."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,32 @@ def test_checker_finds_private_imports(source, found):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_module_imports_another_modules_private_names(path):
     assert private_cross_imports(path.read_text()) == []
+
+
+def seed_label_owners(sources: dict[str, str]) -> dict[str, set[str]]:
+    """For each string literal that opens a derive_seed call's labels, the
+    modules (keys of sources) that make such a call."""
+    owners = defaultdict(set)
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and (_dotted(node.func) or "").split(".")[-1] == "derive_seed"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                    and isinstance(node.args[1].value, str)):
+                owners[node.args[1].value].add(module)
+    return dict(owners)
+
+
+def test_seed_label_checker_finds_each_calling_module():
+    sources = {
+        "a": 'derive_seed(s, "x")\nderive_seed(s, "y", 1)',
+        "b": 'rng.derive_seed(s, "x", k)\nderive_seed(s, label)\nother(s, "y")',
+    }
+    assert seed_label_owners(sources) == {"x": {"a", "b"}, "y": {"a"}}
+
+
+def test_each_seed_label_has_one_owner():
+    # distinct draws come from distinct derived streams only while no two
+    # modules can derive the same label for different purposes
+    owners = seed_label_owners({path.stem: path.read_text() for path in MODULES})
+    assert {"attack-eval", "attack-data", "shadow-head", "noise"} <= set(owners)
+    assert {label: sorted(mods) for label, mods in owners.items() if len(mods) > 1} == {}

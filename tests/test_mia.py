@@ -1,3 +1,4 @@
+import re
 import textwrap
 
 import numpy as np
@@ -351,9 +352,19 @@ class TestTrainAttackClassifier:
         assert all(np.array_equal(a, b) for a, b in zip(unmasked_acts, acts))
 
     def test_diverging_run_raises_instead_of_returning_nan_layers(self):
-        cfg = AttackClassifierConfig(epochs=50, seed=9, learning_rate=1e200)
+        cfg = AttackClassifierConfig(epochs=50, seed=9, learning_rate=1e30)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
             train_attack_classifier(random_records(240), cfg)
+
+    @pytest.mark.parametrize("lr, rule", [
+        (1e-50, "above 0 in float32, got 1e-50"),  # rounds to a float32 0: no step would be taken
+        (1e39, "<= 3.4028234663852886e+38, got 1e+39"),  # overflows the float32 cast
+    ])
+    def test_learning_rate_must_survive_the_float32_cast(self, lr, rule):
+        with pytest.raises(ValueError, match=f"^learning_rate must be {re.escape(rule)}$"):
+            AttackClassifierConfig(epochs=1, seed=0, learning_rate=lr)
+        smallest = float(np.finfo(np.float32).smallest_subnormal)
+        assert AttackClassifierConfig(epochs=1, seed=0, learning_rate=smallest).learning_rate == smallest
 
     def test_single_class_error(self, separable_records):
         members = [r for r in separable_records if r.membership == 1]
@@ -479,6 +490,18 @@ class TestAttackAccuracy:
         for use_protected_outputs in (0, 1):
             with pytest.raises(ValueError, match="not finite"):
                 attack_accuracy(clf, victim, vic_in, huge, use_protected_outputs, 5)
+
+    @pytest.mark.parametrize("bad, message", [
+        (2, "must be 0 or 1, got 2"), (-1, "must be 0 or 1, got -1"),
+        (True, "must be an integer, got True"), ("no", "must be an integer, got 'no'"),
+        (0.0, "must be an integer, got 0.0"), (None, "must be an integer, got None"),
+    ])
+    def test_use_protected_outputs_is_an_integer_bit(self, shadow_setup, bad, message):
+        theta, omega_victim, _, vic_in, vic_out, *_ = shadow_setup
+        victim = protect_existing(theta, omega_victim, MechanismSpec(MechanismKind.LOGISTIC, 1.0), 9)
+        clf = constant_classifier(vic_in.num_classes, 1e-6)
+        with pytest.raises(ValueError, match=f"^use_protected_outputs {re.escape(message)}$"):
+            attack_accuracy(clf, victim, vic_in, vic_out, bad, 5)
 
     def test_unequal_sets_are_subsampled_to_balance(self, shadow_setup):
         theta, omega_victim, _, vic_in, vic_out, *_ = shadow_setup

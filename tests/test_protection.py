@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -263,6 +264,26 @@ class TestExport:
         spec = MechanismSpec(MechanismKind(sidecar["kind"]), sidecar["scale"], sidecar["delta"])
         replay = omega.values + noise_vector(spec, model.noise_seed, len(omega))
         assert np.array_equal(got_omega.values, replay)
+
+
+    def test_truncated_weight_file_named(self, small, tmp_path):
+        *_, theta, omega = small
+        export_protected_model(protect_existing(theta, omega, LOG, 34), tmp_path / "e", SENS)
+        path = tmp_path / "e.theta.bin"
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .* not whole float64 values$"):
+            load_protected_release(tmp_path / "e")
+
+    def test_malformed_shape_tag_named_at_load(self, small, tmp_path):
+        *_, theta, omega = small
+        export_protected_model(protect_existing(theta, omega, LOG, 35), tmp_path / "f", SENS)
+        path = tmp_path / "f.omega.bin"
+        header, _, payload = path.read_bytes().partition(b"\n")
+        assert header == b"weightvector/1 head:in=4,classes=3"
+        path.write_bytes(b"weightvector/1 head:in=4,classes\n" + payload)
+        message = "shape tag 'head:in=4,classes': 'classes' is not name=integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'f'))}: {re.escape(message)}$"):
+            load_protected_release(tmp_path / "f")
 
 
 class TestWeightFiles:
