@@ -11,10 +11,11 @@ class axis one record at a time but reduces across rows in a few vectorised
 passes. The class sum is numpy's own over that axis, so classes add in index
 order, ((z0 + z1) + z2) + ..., except for a single record, whose classes form
 one contiguous run that numpy sums pairwise (the same order below 8 classes).
-Leave-one-out heads train together through the same loop as a
-(heads, classes, records) stack; batched matmul makes the same BLAS call
-for each head as a fit on its own, so each head keeps its bytes. Stacks of
-16 heads train on one worker thread per usable CPU, in the same bytes.
+Every head, the full one too, is fit on an index array of the split's
+rows, and equal-size ones train together through one loop as a (heads,
+classes, records) stack; batched matmul makes the same BLAS call for each
+head as a fit on its own, so each head keeps its bytes. Stacks of up to 16
+heads train on one worker thread per usable CPU, in the same bytes.
 
 The encoder nonlinearity is sinh: odd and unbounded, it stretches the scale
 spectrum of the representations, so different records tolerate very different
@@ -370,10 +371,10 @@ def _head_tag(hidden: int, num_classes: int) -> str:
     return make_tag("head", **{"in": hidden, "classes": num_classes})
 
 
-# Leave-one-out heads are fit this many at a time: long enough stacks to
-# amortise the per-step numpy calls, short enough that the (k, classes,
-# records) arrays stay small.
-_LOO_CHUNK = 16
+# Heads are fit this many to a stack: long enough stacks to amortise the
+# per-step numpy calls, short enough that the (k, classes, records) arrays
+# stay small.
+_STACK_HEADS = 16
 
 
 def _usable_cpus() -> int:
@@ -392,41 +393,40 @@ def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, leave
     (encoder overflow or divergence) raises ValueError.
 
     With leave_out, a sequence of record indices, returns a tuple of heads
-    in that order: head j is fit on dataset without record leave_out[j],
-    byte-equal to finetune_head(theta, dataset.without_index(leave_out[j]),
-    cfg). The heads are fit 16 per training loop, on one worker thread per
+    in that order: head j is byte-equal to finetune_head(theta,
+    dataset.without_index(leave_out[j]), cfg). Every head, the full one
+    too, trains in a stack of up to 16 row subsets on one worker thread per
     CPU the process may use; the bytes do not depend on the worker count.
     """
+    rows = np.arange(len(dataset))
     if leave_out is None:
-        init = _fit_start(theta, dataset, len(dataset), cfg)
-        return _fit_heads(encode(theta, dataset.features)[None], dataset.labels[None], init, cfg)[0]
+        return _fit_subsets(theta, dataset, [rows], cfg)[0]
     indices = [check_int(i, "leave_out", low=None) for i in leave_out]
     for i in indices:
         if not 0 <= i < len(dataset):
             raise IndexError(f"record index {i} out of range")
-    if not indices:
-        return ()
-    init = _fit_start(theta, dataset, len(dataset) - 1, cfg)
-
-    def fit_chunk(chunk):
-        reps = np.empty((len(chunk), len(dataset) - 1, init.shape[0]))
-        labels = np.empty(reps.shape[:2], dtype=np.int64)
-        for k, i in enumerate(chunk):
-            copy = dataset.without_index(i)
-            reps[k], labels[k] = encode(theta, copy.features), copy.labels
-            del copy  # before the next copy is built, so one copy is live at a time
-        return _fit_heads(reps, labels, init, cfg)
-
-    chunks = [indices[start : start + _LOO_CHUNK] for start in range(0, len(indices), _LOO_CHUNK)]
-    with ThreadPoolExecutor(min(len(chunks), _usable_cpus())) as pool:
-        return tuple(head for heads in pool.map(fit_chunk, chunks) for head in heads)
+    return tuple(_fit_subsets(theta, dataset, [np.delete(rows, i) for i in indices], cfg))
 
 
-def _fit_start(theta: WeightVector, dataset: Dataset, records: int, cfg: TrainConfig) -> np.ndarray:
-    """Checks a fit on `records` records and draws its head init."""
-    if records == 0:
+def _fit_subsets(theta: WeightVector, dataset: Dataset, subsets: list, cfg: TrainConfig) -> list[WeightVector]:
+    """One head per subset, each an index array of dataset's rows and all of
+    one size, in subset order. The empty check and the seeded init draw run
+    here, on the calling thread; the stacks train on the pool."""
+    if not subsets:
+        return []
+    if len(subsets[0]) == 0:
         raise ValueError("fine-tuning dataset is empty")
-    return _head_init(_unflatten_encoder(theta)[1].size, dataset.num_classes, cfg)
+    init = _head_init(_unflatten_encoder(theta)[1].size, dataset.num_classes, cfg)
+
+    def fit_stack(stack):
+        reps = np.empty((len(stack), len(stack[0]), init.shape[0]))
+        for k, rows in enumerate(stack):
+            reps[k] = encode(theta, dataset.features[rows])
+        return _fit_heads(reps, dataset.labels[np.stack(stack)], init, cfg)
+
+    stacks = [subsets[start : start + _STACK_HEADS] for start in range(0, len(subsets), _STACK_HEADS)]
+    with ThreadPoolExecutor(min(len(stacks), _usable_cpus())) as pool:
+        return [head for heads in pool.map(fit_stack, stacks) for head in heads]
 
 
 def _fit_heads(reps: np.ndarray, labels: np.ndarray, init: np.ndarray, cfg: TrainConfig) -> list[WeightVector]:

@@ -18,10 +18,12 @@ import numpy as np
 
 from .mechanisms import MechanismSpec, Sensitivity, budget_for_scale, sample_noise
 from .pipeline import check_model, encode, predict_from_representations
-from .rng import RngStream, check_seed
+from .rng import RngStream, check_float, check_seed
 from .weights import WeightVector, load_weights, save_weights, write_json
 
 _NOISE_STREAM = 0
+# what export_protected_model writes: the MechanismSpec fields and the epsilon spent
+_SIDECAR_KEYS = sorted([*(f.name for f in dataclasses.fields(MechanismSpec)), "epsilon"])
 
 
 def noise_vector(spec: MechanismSpec, noise_seed: int, n: int) -> np.ndarray:
@@ -96,8 +98,10 @@ def export_protected_model(model: ProtectedModel, base_path, sensitivity: Sensit
 
 def load_protected_release(base_path) -> tuple[WeightVector, WeightVector, dict]:
     """Read back an exported release: (theta, omega_noisy, sidecar dict).
-    Raises ValueError naming the release unless its weights are an encoder
-    and a head on its outputs, each as long as its tag says."""
+    Raises ValueError naming the release, or the file, unless its weights
+    are a finite encoder and a finite head on its outputs, each as long as
+    its tag says, and its sidecar is a JSON object of exactly the exporter's
+    keys: a valid mechanism kind, scale and delta, and an epsilon above 0."""
     base = str(base_path)
     theta = load_weights(base + ".theta.bin")
     omega_noisy = load_weights(base + ".omega.bin")
@@ -105,6 +109,18 @@ def load_protected_release(base_path) -> tuple[WeightVector, WeightVector, dict]
         check_model(theta, omega_noisy)
     except ValueError as exc:
         raise ValueError(f"{base}: {exc}") from None
-    with open(base + ".json") as fh:
-        sidecar = json.load(fh)
+    for suffix, w in ((".theta.bin", theta), (".omega.bin", omega_noisy)):
+        if not np.all(np.isfinite(w.values)):
+            raise ValueError(f"{base}{suffix}: weights must be finite")
+    path = base + ".json"
+    try:
+        with open(path) as fh:
+            sidecar = json.load(fh)
+        if not isinstance(sidecar, dict) or sorted(sidecar) != _SIDECAR_KEYS:
+            keys = ", ".join(_SIDECAR_KEYS)
+            raise ValueError(f"sidecar must be a JSON object with keys {keys}, got {sidecar!r}")
+        MechanismSpec(sidecar["kind"], sidecar["scale"], sidecar["delta"])
+        check_float(sidecar["epsilon"], "epsilon", above=0)
+    except ValueError as exc:  # json's decode errors among them
+        raise ValueError(f"{path}: {exc}") from None
     return theta, omega_noisy, sidecar

@@ -58,8 +58,15 @@ class SensitivityEstimate:
             raise ValueError("delta_l2 must be the max of the per-pair l2 norms")
 
     def for_mechanism(self, kind: MechanismKind) -> Sensitivity:
-        """The estimated max in the norm kind calibrates against."""
-        return Sensitivity(kind.norm, self.delta_l1 if kind.norm is NormKind.L1 else self.delta_l2)
+        """The estimated max in the norm kind calibrates against; a max of 0
+        raises ValueError, since no noise scale calibrates against it."""
+        value = self.delta_l1 if kind.norm is NormKind.L1 else self.delta_l2
+        if value == 0:
+            raise ValueError(
+                f"sampled {kind.norm.value} sensitivity is 0 over {self.m} pairs: every sampled pair "
+                "gave the same head, so no noise scale calibrates against it"
+            )
+        return Sensitivity(kind.norm, value)
 
 
 def sensitivity_index_pairs(n: int, m: int, seed: int) -> np.ndarray:

@@ -187,6 +187,22 @@ class TestProtect:
         assert "error: noisy head weights must be finite; the noise overflowed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_zero_sampled_sensitivity_named_and_no_release_written(self, tmp_path, capsys):
+        doc = config_to_json_dict(small_config(finetune=dataclasses.replace(FINE, learning_rate=0)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = main(["protect", "--config", str(path), "--mechanism", "logistic",
+                     "--epsilon", "1.0", "--out", str(tmp_path / "release")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: sampled l1 sensitivity is 0 over 8 pairs: every sampled pair gave the same head, "
+            "so no noise scale calibrates against it\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
+        # the estimate itself is valid and still written
+        assert main(["sensitivity", "--config", str(path), "--out", str(tmp_path / "est.json")]) == 0
+        assert estimate_from_json_dict(json.loads((tmp_path / "est.json").read_text())).delta_l1 == 0.0
+
 
 class TestBudgetPointChecks:
     """protect and attack refuse a bad flag or an uncalibratable mechanism,

@@ -444,6 +444,22 @@ class TestLeaveOneOutHeads:
         theta, _ = trained
         assert finetune_head(theta, ten_class, TrainConfig(epochs=5), leave_out=[]) == ()
 
+    def test_heads_train_on_row_indices_not_dataset_copies(self, trained, ten_class, monkeypatch):
+        theta, _ = trained
+        built, check = [], Dataset.__post_init__
+
+        def counting(self):
+            built.append(len(self))
+            check(self)
+
+        monkeypatch.setattr(Dataset, "__post_init__", counting)
+        cfg = TrainConfig(epochs=5, seed=5)
+        finetune_head(theta, ten_class, cfg)
+        finetune_head(theta, ten_class, cfg, leave_out=range(40))
+        assert built == []
+        ten_class.without_index(0)  # the counter sees a copy
+        assert built == [len(ten_class) - 1]
+
     def test_errors(self, trained, ten_class):
         theta, _ = trained
         cfg = TrainConfig(epochs=5, seed=5)
@@ -478,8 +494,13 @@ class TestLeaveOneOutWorkers:
         theta, _ = trained
         cfg = TrainConfig(epochs=20, learning_rate=0.5, seed=5, weight_decay=0.03)
         looped = tuple(finetune_head(theta, ten_class.without_index(i), cfg) for i in range(40))
+        full = reference_finetune_head(theta, ten_class, cfg)[0]
         for cpus in (1, 2, 3):
             monkeypatch.setattr(logidp.pipeline, "_usable_cpus", lambda: cpus)
+            fit_threads.clear()
+            assert finetune_head(theta, ten_class, cfg).values.tobytes() == full.tobytes(), cpus
+            # the full head is one stack of one head, on a pool worker
+            assert len(fit_threads) == 1 and threading.get_ident() not in fit_threads
             fit_threads.clear()
             heads = finetune_head(theta, ten_class, cfg, leave_out=range(40))
             assert [h.values.tobytes() for h in heads] == [h.values.tobytes() for h in looped], cpus
@@ -498,9 +519,9 @@ class TestLeaveOneOutWorkers:
         monkeypatch.setattr(RngStream, "uniforms", recording)
         monkeypatch.setattr(logidp.pipeline, "_usable_cpus", lambda: 3)
         cfg = TrainConfig(epochs=5, seed=5)
-        for _ in range(2):
+        for leave_out in (range(40), range(40), None):
             draws.clear()
-            finetune_head(theta, ten_class, cfg, leave_out=range(40))
+            finetune_head(theta, ten_class, cfg, leave_out=leave_out)
             assert draws == [threading.get_ident()]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

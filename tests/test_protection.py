@@ -285,6 +285,46 @@ class TestExport:
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'f'))}: {re.escape(message)}$"):
             load_protected_release(tmp_path / "f")
 
+    def test_truncated_sidecar_named(self, small, tmp_path):
+        *_, theta, omega = small
+        export_protected_model(protect_existing(theta, omega, LOG, 36), tmp_path / "g", SENS)
+        path = tmp_path / "g.json"
+        path.write_text(path.read_text()[:10])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Unterminated string"):
+            load_protected_release(tmp_path / "g")
+
+    @pytest.mark.parametrize("sidecar, message", [
+        ([1, 2], "sidecar must be a JSON object with keys delta, epsilon, kind, scale, got [1, 2]"),
+        ({"kind": "nope", "scale": -1}, "sidecar must be a JSON object with keys delta, epsilon, kind, scale"),
+        ({"kind": "logistic", "scale": 0.5, "delta": 0.0, "epsilon": 4.0, "noise_seed": 36}, "sidecar must be"),
+        ({"kind": "nope", "scale": 0.5, "delta": 0.0, "epsilon": 4.0}, "'nope' is not a valid MechanismKind"),
+        ({"kind": "logistic", "scale": -1, "delta": 0.0, "epsilon": 4.0}, "scale must be > 0, got -1"),
+        ({"kind": "logistic", "scale": 0.5, "delta": 0.1, "epsilon": 4.0}, "logistic mechanism must have delta = 0"),
+        ({"kind": "logistic", "scale": 0.5, "delta": 0.0, "epsilon": 0}, "epsilon must be > 0, got 0"),
+        ({"kind": "logistic", "scale": 0.5, "delta": 0.0, "epsilon": "4"}, "epsilon must be a finite number"),
+    ], ids=["list", "missing-keys", "extra-key", "unknown-kind", "negative-scale", "logistic-delta",
+            "zero-epsilon", "string-epsilon"])
+    def test_sidecar_the_exporter_never_writes_named(self, small, tmp_path, sidecar, message):
+        *_, theta, omega = small
+        export_protected_model(protect_existing(theta, omega, LOG, 37), tmp_path / "h", SENS)
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_protected_release(tmp_path / "h")
+
+    @pytest.mark.parametrize("suffix", [".theta.bin", ".omega.bin"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weight_file_named(self, small, tmp_path, suffix, bad):
+        *_, theta, omega = small
+        export_protected_model(protect_existing(theta, omega, LOG, 38), tmp_path / "k", SENS)
+        path = tmp_path / f"k{suffix}"
+        header, _, payload = path.read_bytes().partition(b"\n")
+        values = np.frombuffer(payload, dtype="<f8").copy()
+        values[1] = bad
+        path.write_bytes(header + b"\n" + values.tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: weights must be finite$"):
+            load_protected_release(tmp_path / "k")
+
 
 class TestWeightFiles:
     @settings(max_examples=150, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import logidp.pipeline
 import logidp.sensitivity
 from logidp.experiments import _from_json_dict, emit_estimate, estimate_from_json_dict
+from logidp.mechanisms import MechanismKind
 from logidp.pipeline import Dataset, TrainConfig, make_synthetic_dataset, pretrain_encoder
 from logidp.sensitivity import (
     BRUTE_FORCE_MAX_RECORDS,
@@ -247,6 +248,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="^pairs must be integers, got dtype float64$"):
             sample_sensitivity(DUMMY_THETA, d, TrainConfig(), 2, 0, trainer=mean_trainer,
                                pairs=[[0.5, 1.7], [1.0, 2.0]])
+
+    def test_zero_sensitivity_says_what_it_is(self, small_real):
+        theta, d, cfg = small_real
+        # learning rate 0 returns the init, so every leave-one-out head is the same
+        est = sample_sensitivity(theta, d, dataclasses.replace(cfg, learning_rate=0), 6, 13)
+        assert est.delta_l1 == est.delta_l2 == 0.0
+        for kind, norm in ((MechanismKind.LOGISTIC, "l1"), (MechanismKind.GAUSSIAN, "l2")):
+            message = (f"sampled {norm} sensitivity is 0 over 6 pairs: every sampled pair gave the same head, "
+                       "so no noise scale calibrates against it")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                est.for_mechanism(kind)
 
 
 class TestSerialization:
