@@ -1,10 +1,12 @@
 """Membership inference attack against a protected model.
 
 The attacker trains a shadow head on data it controls, collects the shadow
-model's (output vector, one-hot label) pairs for records inside and outside
-the shadow training set, and fits a small binary MLP on those pairs. Attack
-accuracy against the victim is the fraction of balanced member/non-member
-queries the classifier gets right at threshold 0.5; 0.5 is random guessing.
+model's (output vector, one-hot label) rows for records inside and outside
+the shadow training set as one AttackSet, an (n, 2 * classes) feature array
+and an (n,) membership array checked once, and fits a small binary MLP on
+those rows. Attack accuracy against the victim is the fraction of balanced
+member/non-member queries the classifier gets right at threshold 0.5; 0.5
+is random guessing.
 The MLP trains and scores in float32, as attack models usually do; the
 release path (noise, calibration, sensitivity, encoder, heads) stays float64.
 Each layer is one (in + 1, out) matrix whose last row is the bias, from
@@ -17,7 +19,7 @@ mask into a reused buffer, and each input gradient is a product against a
 reused contiguous copy of its layer's transposed weights.
 
 The classifier sees shadow outputs only, by construction: train_auditor in
-experiments builds its records from the shadow splits alone, and the victim
+experiments builds its AttackSet from the shadow splits alone, and the victim
 is only ever scored, never trained on.
 """
 
@@ -30,7 +32,7 @@ import numpy as np
 from .noise import logistic_cdf
 from .pipeline import Dataset, encode, one_hot, predict_from_representations
 from .protection import ProtectedModel
-from .rng import RngStream, check_float, check_int, check_seed
+from .rng import RngStream, check_float, check_int, check_int_array, check_seed
 from .weights import WeightVector
 
 _STREAM_IN = 0
@@ -44,33 +46,47 @@ _BLOCK_ROWS = 125
 
 
 @dataclass(frozen=True)
-class AttackRecord:
-    """One (model output, true label, membership) training example."""
+class AttackSet:
+    """A batch of attack examples. Row i of the (n, 2 * num_classes) features
+    is a model output followed by its one-hot label; membership[i] is 1 for a
+    member and 0 for a non-member. Both are read-only copies. len() is n, and
+    an int or a slice index gives the AttackSet of those rows."""
 
-    output_vector: np.ndarray
-    label_onehot: np.ndarray
-    membership: int
+    features: np.ndarray
+    membership: np.ndarray
+    num_classes: int
 
     def __post_init__(self):
-        out = np.asarray(self.output_vector, dtype=np.float64).copy()
-        lab = np.asarray(self.label_onehot, dtype=np.float64).copy()
-        out.flags.writeable = False
-        lab.flags.writeable = False
-        object.__setattr__(self, "output_vector", out)
-        object.__setattr__(self, "label_onehot", lab)
-        if out.ndim != 1 or lab.ndim != 1 or out.shape != lab.shape:
-            raise ValueError("output_vector and label_onehot must be 1-d and the same length")
-        if not (np.all(np.isfinite(out)) and abs(out.sum() - 1.0) <= 1e-9):
-            raise ValueError(f"output_vector must be finite and sum to 1 within 1e-9, got {out.sum()!r}")
-        nonzero = np.flatnonzero(lab)
-        if len(nonzero) != 1 or lab[nonzero[0]] != 1.0:
-            raise ValueError("label_onehot must have exactly one entry equal to 1")
-        if check_int(self.membership, "membership", low=None) not in (0, 1):
-            raise ValueError(f"membership must be 0 or 1, got {self.membership}")
+        c = check_int(self.num_classes, "num_classes", 1)
+        x = np.array(self.features, dtype=np.float64, copy=True)
+        bits = check_int_array(self.membership, "membership")
+        if x.ndim != 2 or x.shape[1] != 2 * c:
+            raise ValueError(f"features must be (n, {2 * c}) for {c} classes, got shape {x.shape}")
+        if bits.shape != (len(x),):
+            raise ValueError(f"membership must be ({len(x)},), one bit per row, got shape {bits.shape}")
+        # a non-finite output makes its row's sum non-finite
+        sums = x[:, :c].sum(axis=1)
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-9))
+        if bad.size:
+            raise ValueError(f"outputs must be finite and sum to 1 within 1e-9, row {bad[0]} sums to "
+                             f"{float(sums[bad[0]])!r}")
+        labels = x[:, c:]
+        if not ((np.count_nonzero(labels, axis=1) == 1) & (labels.sum(axis=1) == 1.0)).all():
+            raise ValueError("labels must be one-hot: exactly one entry per row, equal to 1")
+        outside = bits[(bits != 0) & (bits != 1)]
+        if outside.size:
+            raise ValueError(f"membership must be 0 or 1, got {outside[0]}")
+        x.setflags(write=False)
+        bits.setflags(write=False)
+        object.__setattr__(self, "features", x)
+        object.__setattr__(self, "membership", bits)
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.output_vector)
+    def __len__(self) -> int:
+        return len(self.features)
+
+    def __getitem__(self, index) -> AttackSet:
+        return AttackSet(np.atleast_2d(self.features[index]), np.atleast_1d(self.membership[index]),
+                         self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -120,12 +136,6 @@ class AttackClassifier:
                                  f"output of layer {i - 1} and the bias, got {frozen[i].shape[0]}")
         if frozen[-1].shape[1] != 1:
             raise ValueError("output layer must have a single unit")
-
-
-def _stack_inputs(records) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([np.concatenate([r.output_vector, r.label_onehot]) for r in records])
-    ys = np.array([r.membership for r in records], dtype=np.float64)
-    return xs, ys
 
 
 def _layer_init(stream: RngStream, fan_in: int, fan_out: int, gain: float) -> np.ndarray:
@@ -219,42 +229,37 @@ def build_attack_dataset(
     out_set: Dataset,
     pairs: int,
     seed: int,
-) -> list[AttackRecord]:
-    """Balanced shadow-output records: pairs/2 members, pairs/2 non-members.
+) -> AttackSet:
+    """Balanced shadow-output rows as one AttackSet: pairs/2 members, then
+    pairs/2 non-members.
 
     Sampling is seeded and without replacement within each partition.
     """
     check_attack_partitions(in_set, out_set, pairs)
-    c = in_set.num_classes
-    members, nonmembers = _balanced_inputs(shadow_theta, shadow_omega, in_set, out_set, pairs // 2, seed)
-    return [AttackRecord(row[:c], row[c:], membership)
-            for rows, membership in ((members, 1), (nonmembers, 0)) for row in rows]
+    rows = _balanced_inputs(shadow_theta, shadow_omega, in_set, out_set, pairs // 2, seed)
+    return AttackSet(np.concatenate(rows), np.repeat([1, 0], pairs // 2), in_set.num_classes)
 
 
-def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClassifier:
+def train_attack_classifier(records: AttackSet, cfg: AttackClassifierConfig) -> AttackClassifier:
     """Full-batch gradient descent on binary cross-entropy, one step per epoch.
 
-    Input is the concatenated (output vector, one-hot label); hidden stack is
-    cfg.hidden_layers ReLU layers of cfg.hidden_width; output is one sigmoid
-    unit. The records run as ceil(n / 125) equal blocks, the last padded with
-    rows whose gradient is 0. Every array an epoch works in is allocated
-    once, before the first: the forward pass takes the ReLU masks, and the
-    input gradients are products against a contiguous copy of each layer's
-    w[:-1].T. Deterministic given cfg.seed, on any BLAS thread count.
-    Raises ValueError at the first non-finite logit of a diverging run.
+    Input is the batch's feature rows, each an output vector and its one-hot
+    label; hidden stack is cfg.hidden_layers ReLU layers of
+    cfg.hidden_width; output is one sigmoid unit. The rows run as
+    ceil(n / 125) equal blocks, the last padded with rows whose gradient is
+    0. Every array an epoch works in is allocated once, before the first:
+    the forward pass takes the ReLU masks, and the input gradients are
+    products against a contiguous copy of each layer's w[:-1].T.
+    Deterministic given cfg.seed, on any BLAS thread count. Raises
+    ValueError at the first non-finite logit of a diverging run.
     """
-    records = list(records)
-    if not records:
+    if not len(records):
         raise ValueError("no attack records given")
-    if {r.membership for r in records} != {0, 1}:
+    if len(np.unique(records.membership)) != 2:
         raise ValueError("attack training set must contain both members and non-members")
-    num_classes = records[0].num_classes
-    if any(r.num_classes != num_classes for r in records):
-        raise ValueError("all attack records must share num_classes")
 
-    x, y = _stack_inputs(records)
-    x, y = _blocks(x), y.astype(np.float32)
-    layers = _init_layers(cfg, num_classes)
+    x, y = _blocks(records.features), records.membership.astype(np.float32)
+    layers = _init_layers(cfg, records.num_classes)
     n = len(records)
     # float32 scalars keep every product float32 under both numpy 1.x
     # value-based casting and numpy 2 promotion
@@ -307,7 +312,7 @@ def train_attack_classifier(records, cfg: AttackClassifierConfig) -> AttackClass
             step *= lr
             w -= step
             g = g_below
-    return AttackClassifier(tuple(layers), num_classes)
+    return AttackClassifier(tuple(layers), records.num_classes)
 
 
 def attack_accuracy(

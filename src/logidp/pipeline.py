@@ -400,33 +400,36 @@ def finetune_head(theta: WeightVector, dataset: Dataset, cfg: TrainConfig, leave
     """
     rows = np.arange(len(dataset))
     if leave_out is None:
-        return _fit_subsets(theta, dataset, [rows], cfg)[0]
+        return _fit_subsets(theta, dataset, 1, lambda j: rows, cfg)[0]
     indices = [check_int(i, "leave_out", low=None) for i in leave_out]
     for i in indices:
         if not 0 <= i < len(dataset):
             raise IndexError(f"record index {i} out of range")
-    return tuple(_fit_subsets(theta, dataset, [np.delete(rows, i) for i in indices], cfg))
+    return tuple(_fit_subsets(theta, dataset, len(indices), lambda j: np.delete(rows, indices[j]), cfg))
 
 
-def _fit_subsets(theta: WeightVector, dataset: Dataset, subsets: list, cfg: TrainConfig) -> list[WeightVector]:
-    """One head per subset, each an index array of dataset's rows and all of
-    one size, in subset order. The empty check and the seeded init draw run
-    here, on the calling thread; the stacks train on the pool."""
-    if not subsets:
+def _fit_subsets(theta: WeightVector, dataset: Dataset, count: int, subset, cfg: TrainConfig) -> list[WeightVector]:
+    """count heads in order, head j fit on subset(j), an index array of
+    dataset's rows; every subset is one size. The empty check and the seeded
+    init draw run here, on the calling thread; the stacks train on the pool,
+    each building its own subsets, so a stack's row arrays live only while it
+    trains."""
+    if not count:
         return []
-    if len(subsets[0]) == 0:
+    if len(subset(0)) == 0:
         raise ValueError("fine-tuning dataset is empty")
     init = _head_init(_unflatten_encoder(theta)[1].size, dataset.num_classes, cfg)
 
-    def fit_stack(stack):
+    def fit_stack(start):
+        stack = [subset(j) for j in range(start, min(start + _STACK_HEADS, count))]
         reps = np.empty((len(stack), len(stack[0]), init.shape[0]))
         for k, rows in enumerate(stack):
             reps[k] = encode(theta, dataset.features[rows])
         return _fit_heads(reps, dataset.labels[np.stack(stack)], init, cfg)
 
-    stacks = [subsets[start : start + _STACK_HEADS] for start in range(0, len(subsets), _STACK_HEADS)]
-    with ThreadPoolExecutor(min(len(stacks), _usable_cpus())) as pool:
-        return [head for heads in pool.map(fit_stack, stacks) for head in heads]
+    starts = range(0, count, _STACK_HEADS)
+    with ThreadPoolExecutor(min(len(starts), _usable_cpus())) as pool:
+        return [head for heads in pool.map(fit_stack, starts) for head in heads]
 
 
 def _fit_heads(reps: np.ndarray, labels: np.ndarray, init: np.ndarray, cfg: TrainConfig) -> list[WeightVector]:

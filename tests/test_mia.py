@@ -8,13 +8,12 @@ from logidp.mechanisms import MechanismKind, MechanismSpec
 from logidp.mia import (
     AttackClassifier,
     AttackClassifierConfig,
-    AttackRecord,
+    AttackSet,
     attack_accuracy,
     _activations,
     _blocks,
     _forward,
     _init_layers,
-    _stack_inputs,
     build_attack_dataset,
     train_attack_classifier,
 )
@@ -25,15 +24,18 @@ from logidp.weights import WeightVector, make_tag
 from blas_threads import stdout_by_thread_count
 
 
-def confident_record(rng, member, num_classes=4):
+def alternating(count) -> np.ndarray:
+    """Membership 1, 0, 1, 0, ...: even rows are members."""
+    return 1 - np.arange(count) % 2
+
+
+def confident_records(rng, membership, num_classes=4) -> AttackSet:
     # members: 0.9 on the true class; non-members: 0.2 (clear separation)
-    label = np.zeros(num_classes)
-    k = rng.integers(num_classes)
-    label[k] = 1.0
-    conf = 0.9 if member else 0.2
-    out = np.full(num_classes, (1 - conf) / (num_classes - 1))
-    out[k] = conf
-    return AttackRecord(out, label, int(member))
+    labels = np.array([rng.integers(num_classes) for _ in membership])
+    conf = np.where(membership == 1, 0.9, 0.2)
+    out = np.repeat((1 - conf)[:, None] / (num_classes - 1), num_classes, axis=1)
+    out[np.arange(len(labels)), labels] = conf
+    return AttackSet(np.hstack([out, np.eye(num_classes)[labels]]), membership, num_classes)
 
 
 def records_accuracy(classifier, records) -> float:
@@ -43,27 +45,25 @@ def records_accuracy(classifier, records) -> float:
     feature row arcsinh(log p) is softmax(log p) = p, each record's own
     output vector.
     """
-    c = records[0].num_classes
+    c = records.num_classes
     eye = np.eye(c)
     theta = WeightVector(np.concatenate([eye.ravel(), np.zeros(c)]), make_tag("encoder", **{"in": c, "hidden": c}))
     omega = WeightVector(eye.ravel(), make_tag("head", **{"in": c, "classes": c}))
     victim = ProtectedModel(theta, omega, omega, MechanismSpec(MechanismKind.LOGISTIC, 1.0), 0)
 
     def as_dataset(membership):
-        rows = [r for r in records if r.membership == membership]
-        features = np.arcsinh(np.log([r.output_vector for r in rows]))
-        return Dataset(features, [int(np.argmax(r.label_onehot)) for r in rows], c)
+        rows = records.features[records.membership == membership]
+        return Dataset(np.arcsinh(np.log(rows[:, :c])), np.argmax(rows[:, c:], axis=1), c)
 
     return attack_accuracy(classifier, victim, as_dataset(1), as_dataset(0), 0, 0)
 
 
-def random_records(count, num_classes=4, seed=0):
+def random_records(count, num_classes=4, seed=0) -> AttackSet:
     rng = np.random.default_rng(seed)
     eye = np.eye(num_classes)
-    return [
-        AttackRecord(rng.dirichlet(np.full(num_classes, 0.5)), eye[rng.integers(num_classes)], i % 2)
-        for i in range(count)
-    ]
+    rows = [np.concatenate([rng.dirichlet(np.full(num_classes, 0.5)), eye[rng.integers(num_classes)]])
+            for _ in range(count)]
+    return AttackSet(np.array(rows), np.arange(count) % 2, num_classes)
 
 
 def _sigmoid(z):
@@ -85,13 +85,13 @@ def reference_train(records, cfg):
     pre-activations are kept for the ReLU mask, and the blocks' weight
     gradients are added in block order. The sigmoid is evaluated in float64
     and rounded to float32."""
-    x, y = (a.astype(np.float32) for a in _stack_inputs(records))
-    n = len(records)
+    x, y = records.features.astype(np.float32), records.membership.astype(np.float32)
+    n = len(x)
     count = -(-n // 125)
     rows = -(-n // count)
     x = np.vstack([x, np.zeros((count * rows - n, x.shape[1]), dtype=np.float32)])
     ones = np.ones((rows, 1), dtype=np.float32)
-    layers = _init_layers(cfg, records[0].num_classes)
+    layers = _init_layers(cfg, records.num_classes)
     lr = np.float32(cfg.learning_rate)
     inv_n = np.float32(1.0 / n)
     for _ in range(cfg.epochs):
@@ -122,8 +122,7 @@ def layer_bytes(layers) -> bytes:
 
 @pytest.fixture(scope="module")
 def separable_records():
-    rng = np.random.default_rng(0)
-    return [confident_record(rng, i % 2 == 0) for i in range(200)]
+    return confident_records(np.random.default_rng(0), alternating(200))
 
 
 @pytest.fixture(scope="module")
@@ -142,76 +141,95 @@ def shadow_setup():
     return theta, omega_victim, omega_shadow, vic_in, vic_out, sh_in, sh_out
 
 
-class TestAttackRecord:
-    def test_output_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            AttackRecord(np.array([0.5, 0.4]), np.array([1.0, 0.0]), 1)
+def two_rows(output, label, membership) -> AttackSet:
+    """A two-class AttackSet: a valid member row, then the row given."""
+    return AttackSet(np.array([[0.5, 0.5, 1.0, 0.0], [*output, *label]]), [1, membership], 2)
 
-    def test_label_must_be_one_hot(self):
-        with pytest.raises(ValueError):
-            AttackRecord(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 1)
-        with pytest.raises(ValueError):
-            AttackRecord(np.array([0.5, 0.5]), np.array([0.0, 0.0]), 1)
 
-    def test_membership_is_a_bit(self):
-        with pytest.raises(ValueError):
-            AttackRecord(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 2)
+class TestAttackSet:
+    @pytest.mark.parametrize("output, label, membership, message", [
+        ([0.5, 0.4], [1.0, 0.0], 1, "outputs must be finite and sum to 1 within 1e-9, row 1 sums to 0.9"),
+        ([np.nan, 1.0], [1.0, 0.0], 1, "outputs must be finite and sum to 1 within 1e-9, row 1 sums to nan"),
+        ([np.inf, 0.0], [1.0, 0.0], 1, "outputs must be finite and sum to 1 within 1e-9, row 1 sums to inf"),
+        ([0.5, 0.5], [0.5, 0.5], 1, "labels must be one-hot: exactly one entry per row, equal to 1"),
+        ([0.5, 0.5], [0.0, 0.0], 1, "labels must be one-hot: exactly one entry per row, equal to 1"),
+        ([0.5, 0.5], [2.0, 0.0], 1, "labels must be one-hot: exactly one entry per row, equal to 1"),
+        ([0.5, 0.5], [1.0, 0.0], 2, "membership must be 0 or 1, got 2"),
+        ([0.5, 0.5], [1.0, 0.0], -1, "membership must be 0 or 1, got -1"),
+    ])
+    def test_every_row_is_checked(self, output, label, membership, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            two_rows(output, label, membership)
 
     @pytest.mark.parametrize("bad, message", [
-        (True, "membership must be an integer, got True"),
-        (1.0, "membership must be an integer, got 1.0"),
+        ([True, False], "membership must be integers, got dtype bool"),
+        ([1.0, 0.0], "membership must be integers, got dtype float64"),
     ])
     def test_membership_is_an_integer_bit(self, bad, message):
+        rows = np.array([[0.5, 0.5, 1.0, 0.0], [0.5, 0.5, 0.0, 1.0]])
         with pytest.raises(ValueError, match=f"^{message}$"):
-            AttackRecord(np.array([0.5, 0.5]), np.array([1.0, 0.0]), bad)
-        assert AttackRecord(np.array([0.5, 0.5]), np.array([1.0, 0.0]), np.int64(1)).membership == 1
+            AttackSet(rows, bad, 2)
+        assert AttackSet(rows, [np.int64(1), np.int64(0)], 2).membership.tolist() == [1, 0]
 
-    def test_nonfinite_output_rejected(self):
-        with pytest.raises(ValueError):
-            AttackRecord(np.array([np.nan, 1.0]), np.array([1.0, 0.0]), 1)
-        with pytest.raises(ValueError):
-            AttackRecord(np.array([np.inf, 0.0]), np.array([1.0, 0.0]), 1)
+    def test_width_must_be_twice_num_classes(self):
+        with pytest.raises(ValueError, match=re.escape("features must be (n, 6) for 3 classes, got shape (2, 4)")):
+            AttackSet(np.array([[0.5, 0.5, 1.0, 0.0]] * 2), [1, 0], 3)
+        with pytest.raises(ValueError, match=re.escape("membership must be (2,), one bit per row, got shape (3,)")):
+            AttackSet(np.array([[0.5, 0.5, 1.0, 0.0]] * 2), [1, 0, 1], 2)
 
-    def test_arrays_read_only(self):
-        r = AttackRecord(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0)
-        with pytest.raises(ValueError):
-            r.output_vector[0] = 0.9
+    def test_arrays_are_read_only_copies(self):
+        rows, bits = np.array([[0.5, 0.5, 1.0, 0.0]]), np.array([1])
+        batch = AttackSet(rows, bits, 2)
+        rows[0, 0], bits[0] = 0.9, 0
+        assert batch.features[0, 0] == 0.5 and batch.membership[0] == 1
+        for array in (batch.features, batch.membership):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_int_and_slice_index_give_a_batch_of_those_rows(self):
+        batch = random_records(10, num_classes=3)
+        assert len(batch) == 10
+        for index, rows in ((4, [4]), (-1, [9]), (slice(2, 5), [2, 3, 4]), (slice(None, None, 3), [0, 3, 6, 9]),
+                            (slice(5, 5), [])):
+            part = batch[index]
+            assert isinstance(part, AttackSet) and part.num_classes == 3 and len(part) == len(rows)
+            assert part.features.shape == (len(rows), 6)
+            assert np.array_equal(part.features, batch.features[rows])
+            assert np.array_equal(part.membership, batch.membership[rows])
+        with pytest.raises(IndexError):
+            batch[10]
 
 
 class TestBuildAttackDataset:
     def test_two_pairs_gives_one_of_each(self, shadow_setup):
         theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
         records = build_attack_dataset(theta, omega_shadow, sh_in, sh_out, 2, 7)
-        assert sorted(r.membership for r in records) == [0, 1]
+        assert isinstance(records, AttackSet) and records.num_classes == sh_in.num_classes
+        assert records.membership.tolist() == [1, 0]
 
     def test_balance_invariant(self, shadow_setup):
         theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
         records = build_attack_dataset(theta, omega_shadow, sh_in, sh_out, 60, 7)
-        assert sum(r.membership for r in records) == 30
-        assert len(records) == 60
+        assert records.membership.tolist() == [1] * 30 + [0] * 30
+        assert records.features.shape == (60, 2 * sh_in.num_classes)
 
     def test_same_seed_identical(self, shadow_setup):
         theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
         a = build_attack_dataset(theta, omega_shadow, sh_in, sh_out, 40, 9)
         b = build_attack_dataset(theta, omega_shadow, sh_in, sh_out, 40, 9)
-        assert all(
-            np.array_equal(x.output_vector, y.output_vector) and x.membership == y.membership
-            for x, y in zip(a, b)
-        )
+        assert np.array_equal(a.features, b.features) and np.array_equal(a.membership, b.membership)
 
     def test_different_seed_differs(self, shadow_setup):
         theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
         a = build_attack_dataset(theta, omega_shadow, sh_in, sh_out, 40, 9)
         b = build_attack_dataset(theta, omega_shadow, sh_in, sh_out, 40, 10)
-        assert any(
-            not np.array_equal(x.output_vector, y.output_vector) for x, y in zip(a, b)
-        )
+        assert not np.array_equal(a.features, b.features)
 
     def test_without_replacement_uses_each_record_once(self, shadow_setup):
         theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
         records = build_attack_dataset(theta, omega_shadow, sh_in, sh_out, 2 * len(sh_in), 3)
-        members = [r for r in records if r.membership == 1]
-        outs = {tuple(np.round(r.output_vector, 12)) for r in members}
+        members = records.features[records.membership == 1, :records.num_classes]
+        outs = {tuple(np.round(row, 12)) for row in members}
         assert len(outs) == len(sh_in)
 
     def test_insufficient_records_error(self, shadow_setup):
@@ -235,7 +253,8 @@ class TestBuildAttackDataset:
     def test_outputs_come_from_the_shadow_model(self, shadow_setup):
         theta, _, omega_shadow, _, _, sh_in, sh_out = shadow_setup
         records = build_attack_dataset(theta, omega_shadow, sh_in, sh_out, 2 * len(sh_in), 3)
-        member_outs = {tuple(np.round(r.output_vector, 10)) for r in records if r.membership}
+        members = records.features[records.membership == 1, :records.num_classes]
+        member_outs = {tuple(np.round(row, 10)) for row in members}
         expect = {
             tuple(np.round(predict(theta, omega_shadow, x), 10)) for x in sh_in.features
         }
@@ -288,12 +307,8 @@ class TestTrainAttackClassifier:
     def test_permuted_memberships_score_at_chance_on_held_out(self):
         # memberships reassigned by coin flip: no signal to learn
         rng = np.random.default_rng(3)
-        base = [confident_record(rng, i % 2 == 0) for i in range(800)]
-        perm = rng.permutation(800)
-        shuffled = [
-            AttackRecord(base[i].output_vector, base[i].label_onehot, int(j % 2 == 0))
-            for j, i in enumerate(perm)
-        ]
+        base = confident_records(rng, alternating(800))
+        shuffled = AttackSet(base.features[rng.permutation(800)], alternating(800), base.num_classes)
         train, held = shuffled[:400], shuffled[400:]
         clf = train_attack_classifier(train, AttackClassifierConfig(epochs=600, seed=11))
         assert abs(records_accuracy(clf, held) - 0.5) <= 0.05
@@ -339,7 +354,7 @@ class TestTrainAttackClassifier:
 
     def test_forward_pass_takes_each_hidden_layers_relu_mask(self):
         layers = _init_layers(AttackClassifierConfig(epochs=0, seed=3), 4)
-        x = _blocks(_stack_inputs(random_records(240))[0])
+        x = _blocks(random_records(240).features)
         acts = _activations(layers, x)
         masks = [np.zeros(a.shape, dtype=bool) for a in acts[:-1]]  # the last buffer holds the logits
         logits = _forward(layers, x, acts, masks)
@@ -367,13 +382,14 @@ class TestTrainAttackClassifier:
         assert AttackClassifierConfig(epochs=1, seed=0, learning_rate=smallest).learning_rate == smallest
 
     def test_single_class_error(self, separable_records):
-        members = [r for r in separable_records if r.membership == 1]
-        with pytest.raises(ValueError):
+        members = separable_records[::2]
+        assert members.membership.all()
+        with pytest.raises(ValueError, match="^attack training set must contain both members and non-members$"):
             train_attack_classifier(members, AttackClassifierConfig(epochs=1, seed=0))
 
     def test_empty_error(self):
-        with pytest.raises(ValueError):
-            train_attack_classifier([], AttackClassifierConfig(epochs=1, seed=0))
+        with pytest.raises(ValueError, match="^no attack records given$"):
+            train_attack_classifier(AttackSet(np.empty((0, 8)), [], 4), AttackClassifierConfig(epochs=1, seed=0))
 
     def test_architecture_matches_config(self, separable_records):
         cfg = AttackClassifierConfig(epochs=0, seed=1, hidden_layers=3, hidden_width=16)

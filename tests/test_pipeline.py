@@ -1,6 +1,7 @@
 import tempfile
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -523,6 +524,24 @@ class TestLeaveOneOutWorkers:
             draws.clear()
             finetune_head(theta, ten_class, cfg, leave_out=leave_out)
             assert draws == [threading.get_ident()]
+
+    def test_each_stack_builds_its_own_row_arrays(self, trained, ten_class, monkeypatch):
+        # 217 heads over 500 records: built all at once, their row arrays
+        # would hold 217 x 499 indices, 0.83 MiB, until the call returned
+        theta, _ = trained
+        monkeypatch.setattr(logidp.pipeline, "_usable_cpus", lambda: 1)
+        cfg = TrainConfig(epochs=2, seed=5)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                finetune_head(theta, ten_class, cfg, leave_out=range(count))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_stack = peak(16)
+        assert peak(217) - one_stack < 217 * (len(ten_class) - 1) * 8 / 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_worker_error_reaches_the_caller(self, monkeypatch):
