@@ -6,7 +6,9 @@ the shadow training set as one AttackSet, an (n, 2 * classes) feature array
 and an (n,) membership array checked once, and fits a small binary MLP on
 those rows. Attack accuracy against the victim is the fraction of balanced
 member/non-member queries the classifier gets right at threshold 0.5; 0.5
-is random guessing.
+is random guessing. build_attack_dataset is the one builder of attack
+rows: the victim's scoring rows are an AttackSet from it too, made and
+checked as the shadow rows are.
 The MLP trains and scores in float32, as attack models usually do; the
 release path (noise, calibration, sensitivity, encoder, heads) stays float64.
 Each layer is one (in + 1, out) matrix whose last row is the bias, from
@@ -194,20 +196,6 @@ def _forward(layers, x: np.ndarray, acts, masks=None) -> np.ndarray:
     return np.matmul(h, layers[-1], out=acts[-1]).reshape(-1)
 
 
-def _balanced_inputs(theta: WeightVector, omega: WeightVector, members: Dataset, nonmembers: Dataset,
-                     size: int, seed: int) -> list[np.ndarray]:
-    """Rows [output vector | one-hot label] of the model on size records of
-    each set, drawn seeded and without replacement: members, then non-members."""
-    rows = []
-    for dataset, stream_index in ((members, _STREAM_IN), (nonmembers, _STREAM_OUT)):
-        picks = RngStream(seed, stream_index).permutation(len(dataset))[:size]
-        probs = predict_from_representations(omega, encode(theta, dataset.features[picks]))
-        if probs.shape[1] != dataset.num_classes:
-            raise ValueError("model output width does not match the dataset's num_classes")
-        rows.append(np.hstack([probs, one_hot(dataset.labels[picks], dataset.num_classes)]))
-    return rows
-
-
 def check_attack_partitions(in_set: Dataset, out_set: Dataset, pairs: int) -> None:
     """Raises ValueError unless pairs is even and >= 2, each partition holds
     pairs/2 records, and both share num_classes."""
@@ -223,20 +211,28 @@ def check_attack_partitions(in_set: Dataset, out_set: Dataset, pairs: int) -> No
 
 
 def build_attack_dataset(
-    shadow_theta: WeightVector,
-    shadow_omega: WeightVector,
+    theta: WeightVector,
+    omega: WeightVector,
     in_set: Dataset,
     out_set: Dataset,
     pairs: int,
     seed: int,
 ) -> AttackSet:
-    """Balanced shadow-output rows as one AttackSet: pairs/2 members, then
-    pairs/2 non-members.
+    """Balanced attack rows as one AttackSet: the model's [output vector |
+    one-hot label] on pairs/2 members, then on pairs/2 non-members. The one
+    builder of attack rows: the shadow head's for training, the victim's
+    for scoring.
 
     Sampling is seeded and without replacement within each partition.
     """
     check_attack_partitions(in_set, out_set, pairs)
-    rows = _balanced_inputs(shadow_theta, shadow_omega, in_set, out_set, pairs // 2, seed)
+    rows = []
+    for dataset, stream_index in ((in_set, _STREAM_IN), (out_set, _STREAM_OUT)):
+        picks = RngStream(seed, stream_index).permutation(len(dataset))[:pairs // 2]
+        probs = predict_from_representations(omega, encode(theta, dataset.features[picks]))
+        if probs.shape[1] != dataset.num_classes:
+            raise ValueError("model output width does not match the dataset's num_classes")
+        rows.append(np.hstack([probs, one_hot(dataset.labels[picks], dataset.num_classes)]))
     return AttackSet(np.concatenate(rows), np.repeat([1, 0], pairs // 2), in_set.num_classes)
 
 
@@ -325,9 +321,12 @@ def attack_accuracy(
 ) -> float:
     """Score the classifier against the victim on a balanced evaluation set.
 
-    Victim outputs come from omega_noisy when use_protected_outputs is 1 and
-    omega_clean otherwise. Unequal sets are subsampled (seeded, without
-    replacement) down to the smaller size so 0.5 stays the guessing baseline.
+    The set is the victim's AttackSet from build_attack_dataset, the
+    builder of the classifier's training rows, and the classifier is scored
+    against its membership. Victim outputs come from
+    omega_noisy when use_protected_outputs is 1 and omega_clean otherwise.
+    Unequal sets are subsampled (seeded, without replacement) down to the
+    smaller size so 0.5 stays the guessing baseline.
     """
     if check_int(use_protected_outputs, "use_protected_outputs", low=None) not in (0, 1):
         raise ValueError(f"use_protected_outputs must be 0 or 1, got {use_protected_outputs}")
@@ -335,10 +334,9 @@ def attack_accuracy(
         raise ValueError("evaluation sets must be nonempty")
     size = min(len(members), len(nonmembers))
     omega = victim.omega_noisy if use_protected_outputs else victim.omega_clean
-    x = np.concatenate(_balanced_inputs(victim.theta, omega, members, nonmembers, size, seed))
-    if x.shape[1] != 2 * classifier.num_classes:
+    rows = build_attack_dataset(victim.theta, omega, members, nonmembers, 2 * size, seed)
+    if rows.num_classes != classifier.num_classes:
         raise ValueError("victim output width does not match the classifier")
-    x = _blocks(x)
+    x = _blocks(rows.features)
     logits = _forward(classifier.layers, x, _activations(classifier.layers, x))[:2 * size]
-    is_member = np.arange(2 * size) < size
-    return float(np.mean((logistic_cdf(logits) >= 0.5) == is_member))
+    return float(np.mean((logistic_cdf(logits) >= 0.5) == rows.membership))

@@ -60,10 +60,16 @@ def check_list(value, name: str) -> tuple:
 
 def check_int_array(value, name: str) -> np.ndarray:
     """value as an int64 array, if its dtype is an integer dtype (never
-    bool) or it is empty; otherwise ValueError naming the field."""
+    bool) or it is empty; otherwise ValueError naming the field. A value
+    that is not an array yet may hold no bool either: numpy would read
+    [1, True] as the integers [1, 1]."""
     array = np.asarray(value)
     if array.size and not np.issubdtype(array.dtype, np.integer):
         raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
+    if not isinstance(value, np.ndarray):
+        for element in np.asarray(value, dtype=object).flat:
+            if isinstance(element, (bool, np.bool_)):
+                raise ValueError(f"{name} must be integers, got {element!r}")
     return array.astype(np.int64)
 
 

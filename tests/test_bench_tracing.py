@@ -63,6 +63,30 @@ def test_every_release_a_sweep_makes_is_a_cell():
     assert len(releases) == 2 * 3 * 2
 
 
+def test_a_sweep_builds_attack_rows_once_through_the_traced_lookup():
+    # attack_accuracy builds the victim's rows through mia's own global, so
+    # the one traced build is the shadow head's, and every cell and the
+    # unprotected baseline are one attack_accuracy call each
+    cfg = SweepConfig(
+        dataset=SyntheticDataSpec(3, 20, 6, 0.5, 17, pretrain=20, finetune=10, holdout=8,
+                                  shadow_in=10, shadow_out=10),
+        pretrain=TrainConfig(hidden_dims=(4,), epochs=5, learning_rate=0.05, seed=1),
+        finetune=TrainConfig(epochs=5, learning_rate=0.5, seed=2),
+        mechanisms=("logistic", "laplace"),
+        sensitivity=Sensitivity(NormKind.L1, 0.5),
+        attack=AttackClassifierConfig(epochs=4, seed=1, hidden_layers=2, hidden_width=8, train_pairs=10),
+        master_seed=3,
+        scale_grid=(0.5, 0.25, 0.125),
+        repeats_per_point=2,
+    )
+    recorder = spans.SpanRecorder()
+    with spans.instrumented(recorder):
+        logidp.experiments.run_sweep(cfg)
+    names = [s.name for s in recorder.spans]
+    assert names.count("mia.build_attack_dataset") == 1
+    assert names.count("mia.attack_accuracy") == 2 * 3 * 2 + 1
+
+
 def test_attack_flop_counts_the_trainer_arguments():
     data = make_synthetic_dataset(3, 20, 6, 0.5, 17)
     theta = pretrain_encoder(data, TrainConfig(hidden_dims=(4,), epochs=5, learning_rate=0.05, seed=1))

@@ -519,6 +519,26 @@ class TestAttackAccuracy:
         with pytest.raises(ValueError, match=f"^use_protected_outputs {re.escape(message)}$"):
             attack_accuracy(clf, victim, vic_in, vic_out, bad, 5)
 
+    @pytest.mark.parametrize("count", [50, 10])
+    def test_scores_the_rows_build_attack_dataset_makes(self, shadow_setup, monkeypatch, count):
+        # training and scoring read one row builder: the scored blocks are
+        # the victim's AttackSet, on equal sets and on subsampled unequal ones
+        theta, omega_victim, _, vic_in, vic_out, *_ = shadow_setup
+        victim = protect_existing(theta, omega_victim, MechanismSpec(MechanismKind.LOGISTIC, 1.0), 9)
+        members = vic_in.subset(range(count))
+        blocks = []
+
+        def recording_forward(layers, x, acts, masks=None):
+            blocks.append(x.copy())
+            return _forward(layers, x, acts, masks)
+
+        monkeypatch.setattr("logidp.mia._forward", recording_forward)
+        attack_accuracy(constant_classifier(vic_in.num_classes, 1e-6), victim, members, vic_out, 1, 5)
+        size = min(count, len(vic_out))
+        rows = build_attack_dataset(victim.theta, victim.omega_noisy, members, vic_out, 2 * size, 5)
+        (x,) = blocks
+        assert np.array_equal(x.reshape(-1, x.shape[-1])[:2 * size, :-1], rows.features.astype(np.float32))
+
     def test_unequal_sets_are_subsampled_to_balance(self, shadow_setup):
         theta, omega_victim, _, vic_in, vic_out, *_ = shadow_setup
         victim = protect_existing(theta, omega_victim, MechanismSpec(MechanismKind.LOGISTIC, 1.0), 9)

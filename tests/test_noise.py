@@ -15,7 +15,11 @@ from logidp.noise import (
     sample_laplace,
     sample_logistic,
 )
+from logidp.mia import AttackSet
+from logidp.pipeline import Dataset, TrainConfig
 from logidp.rng import RngStream, check_float, derive_seed
+from logidp.sensitivity import sample_sensitivity
+from logidp.weights import WeightVector
 
 
 class TestRngStream:
@@ -54,6 +58,21 @@ class TestRngStream:
         for value in (3, np.int64(3), np.float32(3.0), 3.0):
             got = check_float(value, "x", above=0, at_least=3, below=4, at_most=3)
             assert got == 3.0 and type(got) is float
+
+    @pytest.mark.parametrize("field, read", [
+        pytest.param("membership", lambda v: AttackSet(np.array([[0.5, 0.5, 1.0, 0.0]] * 2), v, 2),
+                     id="AttackSet"),
+        pytest.param("labels", lambda v: Dataset(np.zeros((2, 1)), v, 2), id="Dataset"),
+        pytest.param("indices", lambda v: Dataset(np.zeros((2, 1)), [0, 1], 2).subset(v), id="subset"),
+        pytest.param("pairs", lambda v: sample_sensitivity(WeightVector(np.zeros(0), "encoder:in=0,hidden=0"),
+                                                           Dataset(np.zeros((2, 1)), [0, 1], 2), TrainConfig(),
+                                                           1, 0, pairs=[v]), id="sample_sensitivity"),
+    ])
+    @pytest.mark.parametrize("bits", [[1, True], (0, np.True_)], ids=["list", "tuple"])
+    def test_integer_arrays_refuse_a_bool_inside_a_list(self, field, read, bits):
+        # numpy would read [1, True] as the int64 array [1, 1]
+        with pytest.raises(ValueError, match=f"^{field} must be integers, got {re.escape(repr(bits[1]))}$"):
+            read(bits)
 
     def test_uniforms_open_interval(self):
         u = RngStream(99, 0).uniforms(200_000)
